@@ -1,11 +1,11 @@
 """Additive and multiplicative characters and the brute-force sum oracles.
 
-All sums enumerate k_r elementwise in packed order, split into a fixed
-number of index-range partitions.  Each partition is accumulated with
-compensated (Kahan) summation and the partials are combined by a fixed
-binary tree over partition indices, so serial runs and worker pools
-produce bit-identical values.  Multiplicative characters are only ever
-evaluated on the small base field k, after taking norms.
+Every sum is sum_v c_v * chi(v) over v in k, where c_v counts the
+elements of k_r (or of a norm fiber) whose trace or norm index is v.
+Each index-range partition of k_r yields exact integer counts, which are
+added exactly and evaluated once in fixed order, so serial runs and
+worker pools produce bit-identical values.  Multiplicative characters
+are only ever evaluated on the small base field k, after taking norms.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice, product
 
 from .errors import CtxMismatch, FieldTooLarge, NotABasis, ZeroMu
 from .ffield import ExtCtx, FieldCtx, FqElem, make_ext, make_field
@@ -126,27 +127,13 @@ def _chi_table(ctx: FieldCtx, j: int) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# deterministic partitioned summation
+# exact-count enumeration
 # ---------------------------------------------------------------------------
 
 
 def _part_ranges(n: int) -> list[tuple[int, int]]:
     total = 1 if n < _PART_THRESHOLD else _PARTS
     return [(i * n // total, (i + 1) * n // total) for i in range(total)]
-
-
-def _tree_sum(values: list[complex]) -> complex:
-    vals = list(values)
-    if not vals:
-        return 0j
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
 
 
 _CTX_CACHE: dict[tuple, object] = {}
@@ -163,15 +150,6 @@ def _ctx_from_recipe(recipe):
             ctx = make_ext(make_field(p, s, base_seed), r, seed)
         _CTX_CACHE[recipe] = ctx
     return ctx
-
-
-def _digits_advance(dig: list[int], q: int) -> None:
-    for i in range(len(dig)):
-        dig[i] += 1
-        if dig[i] < q:
-            return
-        dig[i] = 0
-    # full wraparound only happens after the final element of a range
 
 
 def _inner_fn(ko, inner):
@@ -193,89 +171,72 @@ def _inner_fn(ko, inner):
     raise ValueError(f"unknown inner plan {inner!r}")
 
 
-def _sum_part(task) -> tuple[float, float]:
-    """Evaluate one partition of a character sum; top-level for pickling."""
-    recipe, mode, payload, start, stop = task
+def _count_part(task) -> list[int]:
+    """Counts of Tr f(x) ("S") or N f(x) ("U") over a partition of k_r, or
+    of its fiber N(x) = mu, or of Tr f(t) + u Tr(t) for all u in k ("D")."""
+    recipe, mode, coeffs, inner, mu, start, stop = task
     ext = _ctx_from_recipe(recipe)
     ko = ext._kops
     q = ext.base.q
-    r = ext.r
-    emul, eadd, etr = ko.emul, ko.eadd, ko.etr
-    s = 0j
-    comp = 0j
-
-    if mode in ("S", "U", "FA", "FM"):
-        coeffs, char_param, inner, mu = payload
-        crev = tuple(tuple(c) for c in reversed(coeffs))
-        lead, rest = crev[0], crev[1:]
-        inner_f = _inner_fn(ko, inner)
-        if mode in ("S", "FA"):
-            tab = _psi_table(ext.base, char_param)
-        else:
-            tab = _chi_table(ext.base, char_param)
-        enorm = ko.enorm
-        zero = ko.zero
-        need_fiber = mode in ("FA", "FM")
-        dig = list(ext.unpack(start))
-        for _ in range(stop - start):
-            x = tuple(dig)
-            if need_fiber and enorm(x) != mu:
-                _digits_advance(dig, q)
-                continue
-            t = inner_f(x)
-            acc = lead
-            for c in rest:
-                acc = eadd(emul(acc, t), c)
-            if mode in ("S", "FA"):
-                term = tab[etr(acc)]
-            else:
-                if acc == zero:
-                    _digits_advance(dig, q)
-                    continue
-                term = tab[enorm(acc)]
-            y = term - comp
-            tt = s + y
-            comp = (tt - s) - y
-            s = tt
-            _digits_advance(dig, q)
-        return (s.real, s.imag)
+    emul, eadd, etr, enorm = ko.emul, ko.eadd, ko.etr, ko.enorm
+    lead, *rest = reversed(coeffs)
+    counts = [0] * q
+    xs = islice(product(range(q), repeat=ext.r), start, stop)
 
     if mode == "D":
-        coeffs, b = payload
-        crev = tuple(tuple(c) for c in reversed(coeffs))
-        lead, rest = crev[0], crev[1:]
-        tab = _psi_table(ext.base, b)
         kadd, kmul = ko.kadd, ko.kmul
-        dig = list(ext.unpack(start))
-        for _ in range(stop - start):
-            t = tuple(dig)
+        for t in xs:
             acc = lead
             for c in rest:
                 acc = eadd(emul(acc, t), c)
             a = etr(acc)
             tau = etr(t)
             for u in range(q):
-                term = tab[kadd(a, kmul(u, tau))]
-                y = term - comp
-                tt = s + y
-                comp = (tt - s) - y
-                s = tt
-            _digits_advance(dig, q)
-        return (s.real, s.imag)
+                counts[kadd(a, kmul(u, tau))] += 1
+        return counts
 
-    raise ValueError(f"unknown mode {mode!r}")
+    index = etr if mode == "S" else enorm
+    inner_f = _inner_fn(ko, inner)
+    if mu is not None:
+        xs = (x for x in xs if enorm(x) == mu)
+    for x in xs:
+        t = inner_f(x)
+        acc = lead
+        for c in rest:
+            acc = eadd(emul(acc, t), c)
+        counts[index(acc)] += 1
+    return counts
 
 
-def _run_sum(ext: ExtCtx, mode: str, payload, pool=None) -> complex:
-    n = ext.size
-    tasks = [
-        (ext.recipe, mode, payload, start, stop) for start, stop in _part_ranges(n)
-    ]
-    if pool is not None and len(tasks) > 1:
-        partials = list(pool.map(_sum_part, tasks))
-    else:
-        partials = [_sum_part(t) for t in tasks]
-    return _tree_sum([complex(re, im) for re, im in partials])
+def _csum(terms) -> complex:
+    """Correctly rounded sum of complex terms, whatever their order."""
+    terms = list(terms)
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex:
+    """Check, count every term exactly, then evaluate sum_v c_v * char(v)."""
+    if mu is not None:
+        mu = mu.val if isinstance(mu, FqElem) else mu
+        if mu == 0:
+            raise ZeroMu("norm fibers are indexed by nonzero mu")
+    if char.ctx != ext.base:
+        raise CtxMismatch("character not on the base field of the extension")
+    n, q = ext.size, ext.base.q
+    terms = n * q if mode == "D" else n
+    if terms > cap:
+        raise FieldTooLarge(f"enumeration of {terms} terms exceeds cap {cap}")
+    coeffs = _ext_coeff_tuples(f, ext)
+    tasks = [(ext.recipe, mode, coeffs, inner, mu, a, b) for a, b in _part_ranges(n)]
+    mapper = pool.map if pool is not None and len(tasks) > 1 else map
+    counts = [sum(col) for col in zip(*mapper(_count_part, tasks))]
+    expected = terms if mu is None else (n - 1) // (q - 1)
+    if sum(counts) != expected:
+        raise RuntimeError(f"counted {sum(counts)} terms, expected {expected}")
+    # the recipe-built context the counts used, when this process has it,
+    # already holds the lazy field tables that building char's table needs
+    tab = replace(char, ctx=_CTX_CACHE.get(ext.recipe, ext).base).table()
+    return _csum(c * tab[v] for v, c in enumerate(counts) if c)
 
 
 def _ext_coeff_tuples(f: Poly, ext: ExtCtx) -> tuple:
@@ -301,15 +262,7 @@ def gauss_sum(chi: MultChar, psi: AdditiveChar) -> complex:
         raise CtxMismatch("characters on different fields")
     ct = chi.table()
     pt = psi.table()
-    s = 0j
-    comp = 0j
-    for t in range(1, chi.ctx.q):
-        term = ct[t] * pt[t]
-        y = term - comp
-        tt = s + y
-        comp = (tt - s) - y
-        s = tt
-    return -s
+    return -_csum(ct[t] * pt[t] for t in range(1, chi.ctx.q))
 
 
 def sum_additive(
@@ -322,12 +275,7 @@ def sum_additive(
     pool=None,
 ) -> complex:
     """S_r = sum over x in k_r of psi(Tr_{k_r/k}(f(x))), by exact enumeration."""
-    if psi.ctx != ext.base:
-        raise CtxMismatch("character not on the base field of the extension")
-    if ext.size > cap:
-        raise FieldTooLarge(f"enumeration of {ext.size} elements exceeds cap {cap}")
-    payload = (_ext_coeff_tuples(f, ext), psi.b, inner, None)
-    return _run_sum(ext, "S", payload, pool=pool)
+    return _enumerate("S", f, psi, ext, inner=inner, cap=cap, pool=pool)
 
 
 def sum_multiplicative(
@@ -340,12 +288,7 @@ def sum_multiplicative(
     pool=None,
 ) -> complex:
     """U_r = sum over x in k_r of chi(N_{k_r/k}(f(x))), with chi(0) = 0."""
-    if chi.ctx != ext.base:
-        raise CtxMismatch("character not on the base field of the extension")
-    if ext.size > cap:
-        raise FieldTooLarge(f"enumeration of {ext.size} elements exceeds cap {cap}")
-    payload = (_ext_coeff_tuples(f, ext), chi.j, inner, None)
-    return _run_sum(ext, "U", payload, pool=pool)
+    return _enumerate("U", f, chi, ext, inner=inner, cap=cap, pool=pool)
 
 
 def fiber_sum_additive(
@@ -358,15 +301,7 @@ def fiber_sum_additive(
     pool=None,
 ) -> complex:
     """Sum of psi(Tr(g(x))) over the norm fiber N_{k_r/k}(x) = mu, mu != 0."""
-    mu = mu.val if isinstance(mu, FqElem) else mu
-    if mu == 0:
-        raise ZeroMu("norm fibers are indexed by nonzero mu")
-    if psi.ctx != ext.base:
-        raise CtxMismatch("character not on the base field of the extension")
-    if ext.size > cap:
-        raise FieldTooLarge(f"enumeration of {ext.size} elements exceeds cap {cap}")
-    payload = (_ext_coeff_tuples(g, ext), psi.b, None, mu)
-    return _run_sum(ext, "FA", payload, pool=pool)
+    return _enumerate("S", g, psi, ext, mu=mu, cap=cap, pool=pool)
 
 
 def fiber_sum_multiplicative(
@@ -379,15 +314,7 @@ def fiber_sum_multiplicative(
     pool=None,
 ) -> complex:
     """Sum of chi(N(g(x))) over the norm fiber N_{k_r/k}(x) = mu, mu != 0."""
-    mu = mu.val if isinstance(mu, FqElem) else mu
-    if mu == 0:
-        raise ZeroMu("norm fibers are indexed by nonzero mu")
-    if chi.ctx != ext.base:
-        raise CtxMismatch("character not on the base field of the extension")
-    if ext.size > cap:
-        raise FieldTooLarge(f"enumeration of {ext.size} elements exceeds cap {cap}")
-    payload = (_ext_coeff_tuples(g, ext), chi.j, None, mu)
-    return _run_sum(ext, "FM", payload, pool=pool)
+    return _enumerate("U", g, chi, ext, mu=mu, cap=cap, pool=pool)
 
 
 def double_sum_check(
@@ -402,14 +329,7 @@ def double_sum_check(
 
     Must equal sum_additive of g(x^q - x) for translation-invariant input.
     """
-    if psi.ctx != ext.base:
-        raise CtxMismatch("character not on the base field of the extension")
-    if ext.size * ext.base.q > cap:
-        raise FieldTooLarge(
-            f"double sum over {ext.size * ext.base.q} terms exceeds cap {cap}"
-        )
-    payload = (_ext_coeff_tuples(g, ext), psi.b)
-    return _run_sum(ext, "D", payload, pool=pool)
+    return _enumerate("D", g, psi, ext, cap=cap, pool=pool)
 
 
 def counting_identity_holds(ext: ExtCtx, *, cap: int = 10**4) -> bool:
@@ -434,7 +354,7 @@ def orthogonality_error(psi: AdditiveChar) -> float:
     tab = psi.table()
     worst = 0.0
     for u in range(ctx.q):
-        s = _tree_sum([tab[ctx.mul(u, t)] for t in range(ctx.q)])
+        s = _csum(tab[ctx.mul(u, t)] for t in range(ctx.q))
         target = complex(ctx.q, 0) if u == 0 else 0j
         worst = max(worst, abs(s - target))
     return worst

@@ -7,10 +7,11 @@ records the brute-force sum, the classical Weil bound, the improved
 bound, the exceptional main term when one applies, and pass flags.
 
 Determinism: field/extension construction uses fixed seeds, polynomial
-draws derive from the config seed alone, and sums use the fixed-tree
-partition reduction, so replaying a config reproduces the CSV except for
-the wall-time column.  Worker pools parallelize over enumeration
-partitions and cannot change any numeric output.
+draws derive from the config seed alone, and every sum is evaluated once
+from exact integer counts, so replaying a config reproduces the CSV
+except for the wall-time column.  Worker pools parallelize over
+enumeration partitions; their counts are added exactly, so the worker
+count cannot change any numeric output.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from .charsum import (
     sum_additive,
     sum_multiplicative,
 )
-from .errors import ConfigInvalid, Unsatisfiable
-from .ffield import make_ext, make_field
+from .errors import CharsumsError, ConfigInvalid, Unsatisfiable
+from .ffield import is_prime, make_ext, make_field
 from .invariance import as_reduce, mth_power_test
-from .polyring import Poly, is_squarefree, poly_from_text, poly_to_text
+from .polyring import Poly, coeffs_from_text, is_squarefree, poly_from_text, poly_to_text
 
 KINDS = ("WeilAdd", "WeilMult", "TransAdd", "TransMult", "HomAdd", "HomMult")
 CONSTRAINT_KEYS = (
@@ -136,7 +137,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         errors.append(f"kind: must be one of {KINDS}")
     p = data.get("p")
     s = data.get("s", 1)
-    if not isinstance(p, int) or p < 2:
+    if not isinstance(p, int) or not is_prime(p):
         errors.append("p: prime required")
     if not isinstance(s, int) or s < 1:
         errors.append("s: must be >= 1")
@@ -162,6 +163,13 @@ def parse_config(data: dict) -> ExperimentConfig:
         coeffs = poly.get("coeffs")
         if not isinstance(coeffs, str) or not coeffs:
             errors.append("poly.coeffs: coefficient text required for explicit source")
+        else:
+            try:
+                coeffs_from_text(coeffs)
+            except ValueError:
+                errors.append(
+                    "poly.coeffs: expected comma-separated integers or [d0 d1 ...] groups"
+                )
         if set(poly) - {"source", "coeffs"}:
             errors.append("poly: unknown fields for explicit source")
     elif source == "random":
@@ -233,7 +241,8 @@ def gen_poly(ctx, d: int, constraints: dict, rng: random.Random) -> Poly:
     for _ in range(GEN_RETRIES):
         if want["splits_in_k"]:
             roots = [rng.randrange(size) for _ in range(d)]
-            if want["roots_sum_zero"]:
+            # x^(d-1) has coefficient -lead * (sum of roots)
+            if d >= 1 and (want["roots_sum_zero"] or want["a_dm1_zero"]):
                 total = 0
                 for rt in roots[:-1]:
                     total = ctx.add(total, rt)
@@ -253,6 +262,8 @@ def gen_poly(ctx, d: int, constraints: dict, rng: random.Random) -> Poly:
         if want["odd"]:
             for i in range(0, d + 1, 2):
                 coeffs[i] = 0
+        if want["splits_in_k"] and coeffs != list(g.coeffs):
+            continue  # zeroing a coefficient would move the roots out of k
         g = Poly(ctx, tuple(coeffs))
         if g.degree != d:
             continue
@@ -647,6 +658,9 @@ def main(argv=None) -> int:
             for msg in exc.messages:
                 print(f"config error: {msg}", file=sys.stderr)
             return 2
+        except CharsumsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         ok = all_applicable_pass(rows)
         if args.out:
             if args.out.endswith(".json"):
@@ -668,7 +682,7 @@ def main(argv=None) -> int:
     if args.command == "check-identity":
         try:
             lines = check_identity(args.kind, args.p, args.s, args.r, args.seed, args.trials)
-        except ConfigInvalid as exc:
+        except CharsumsError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         ok = all(line.startswith("PASS") for line in lines)
@@ -676,11 +690,11 @@ def main(argv=None) -> int:
         return 0 if ok else 1
 
     if args.command == "gen":
-        ctx = make_field(args.p, args.s, seed=0)
         constraints = {k: getattr(args, k) for k in CONSTRAINT_KEYS if getattr(args, k)}
         try:
+            ctx = make_field(args.p, args.s, seed=0)
             g = gen_poly(ctx, args.d, constraints, random.Random(args.seed))
-        except Unsatisfiable as exc:
+        except CharsumsError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(poly_to_text(g))

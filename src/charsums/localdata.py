@@ -160,15 +160,6 @@ def t_pow(a: LaurentTail, e: int) -> LaurentTail:
     return result
 
 
-def series_mul(a: LaurentTail, b: LaurentTail) -> LaurentTail:
-    return t_mul(a, b)
-
-
-def series_compose(g: Poly, w: LaurentTail) -> LaurentTail:
-    """Alias for composing a polynomial with a tail (see compose_poly)."""
-    return compose_poly(g, w)
-
-
 def series_nth_root(a: LaurentTail, n: int, branch: int) -> LaurentTail:
     """Newton solve of r^n = a, with the caller-supplied branch for the lead.
 

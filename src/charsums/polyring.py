@@ -10,6 +10,7 @@ schoolbook ones.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -477,24 +478,24 @@ def poly_to_text(g: Poly) -> str:
     return ",".join("[" + " ".join(str(d) for d in ctx.unpack(c)) + "]" for c in g.coeffs)
 
 
-def poly_from_text(ctx, text: str) -> Poly:
+def coeffs_from_text(text: str) -> list:
+    """Parse coefficient text: comma-separated ints, or one [d_0 d_1 ...]
+    digit list per coefficient.  Raises ValueError on a non-integer token."""
     text = text.strip()
-    if not text:
-        return Poly(ctx, ())
-    coeffs = []
     if "[" in text:
-        import re
+        return [[int(t) for t in m.group(1).split()] for m in re.finditer(r"\[([^\]]*)\]", text)]
+    return [int(t) for t in text.split(",")] if text else []
 
-        for m in re.finditer(r"\[([^\]]*)\]", text):
-            digits = [int(t) for t in m.group(1).split()]
-            coeffs.append(ctx.pack(digits))
-    else:
-        for t in text.split(","):
-            v = int(t)
-            if isinstance(ctx, FieldCtx) and ctx.s == 1:
-                coeffs.append(v % ctx.p)
-            else:
-                coeffs.append(v)
+
+def poly_from_text(ctx, text: str) -> Poly:
+    coeffs = []
+    for c in coeffs_from_text(text):
+        if isinstance(c, list):
+            coeffs.append(ctx.pack(c))
+        elif isinstance(ctx, FieldCtx) and ctx.s == 1:
+            coeffs.append(c % ctx.p)
+        else:
+            coeffs.append(c)
     return Poly.make(ctx, [FqElem(ctx, c) for c in coeffs])
 
 

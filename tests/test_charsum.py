@@ -274,7 +274,21 @@ def test_pool_and_serial_agree_bitwise():
     psi = AdditiveChar.canonical(f13)
     e4 = make_ext(f13, 4)
     g = Poly.make(f13, (1, 5, 0, 1))
-    serial = sum_additive(g, psi, e4, inner=("frobsub",))
+    # F_4 at r = 7 is the cheapest extension with a nontrivial multiplicative
+    # character that is split into partitions
+    f4 = make_field(2, 2, seed=0)
+    e7 = make_ext(f4, 7)
+    assert e7.size >= 1 << 14
+    h = Poly.make(f4, (2, 1, 0, 1))
+    psi4, chi4 = AdditiveChar.canonical(f4), MultChar.of_order(f4, 3)
+    calls = [
+        lambda pool: sum_additive(g, psi, e4, inner=("frobsub",), pool=pool),
+        lambda pool: sum_multiplicative(h, chi4, e7, pool=pool),
+        lambda pool: fiber_sum_additive(h, psi4, e7, 2, pool=pool),
+        lambda pool: fiber_sum_multiplicative(h, chi4, e7, 3, pool=pool),
+        lambda pool: double_sum_check(h, psi4, e7, pool=pool),
+    ]
+    serial = [call(None) for call in calls]
     with ProcessPoolExecutor(max_workers=4) as pool:
-        parallel = sum_additive(g, psi, e4, inner=("frobsub",), pool=pool)
+        parallel = [call(pool) for call in calls]
     assert serial == parallel

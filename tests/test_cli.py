@@ -18,7 +18,7 @@ from charsums.cli import (
     run,
 )
 from charsums.errors import ConfigInvalid, Unsatisfiable
-from charsums.polyring import is_squarefree, parity_check, Parity, roots_in
+from charsums.polyring import is_squarefree, parity_check, Parity, root_structure, roots_in
 
 BASE_CFG = {
     "version": 1,
@@ -89,6 +89,18 @@ def test_gen_poly_constraints():
 
     with pytest.raises(Unsatisfiable):
         gen_poly(make_field(2, 1), 1, {"odd": True, "nonzero_constant": True}, rng)
+
+
+def test_gen_poly_split_draws_keep_coefficient_constraints():
+    for p in (7, 11, 13):
+        fld = make_field(p, 1)
+        for seed in range(20):
+            rng = random.Random(seed)
+            g = gen_poly(fld, 3, {"splits_in_k": True, "a_dm1_zero": True}, rng)
+            assert g.coeff(2) == 0 and root_structure(g, fld).splits_completely
+            g = gen_poly(fld, 3, {"splits_in_k": True, "odd": True}, rng)
+            assert parity_check(g) == Parity.ODD
+            assert root_structure(g, fld).splits_completely
 
 
 def test_run_small_grid_and_replay():
@@ -201,6 +213,24 @@ def test_cli_main_run_and_gen(tmp_path, capsys):
     bad.write_text(json.dumps(cfg(version=3)))
     assert main(["run", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"p": 9},
+        {"d": [1], "poly": {"source": "random",
+                            "constraints": {"odd": True, "nonzero_constant": True}}},
+        {"poly": {"source": "explicit", "coeffs": "1,2,x"}},
+    ],
+)
+def test_run_bad_input_is_one_error_line(tmp_path, capsys, over):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg(**over)))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_json_output(tmp_path):
