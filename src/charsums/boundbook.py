@@ -22,8 +22,9 @@ from .errors import (
     MthPower,
     NotExceptionalCell,
     RootsNotInBaseField,
+    SequenceMismatch,
 )
-from .ffield import ExtCtx, FieldCtx, FqElem, make_ext
+from .ffield import ExtCtx, FieldCtx, make_ext
 from .localdata import LocalData, compute_local_data
 from .polyring import (
     Parity,
@@ -109,6 +110,7 @@ def bound_constant_multiplicative(d: int, r: int) -> int:
 def _sequence_step(gn: Poly, g: Poly) -> Poly:
     ctx = gn.ctx
     target_deg = gn.degree * g.degree
+    n_pts = target_deg + 1
     if ctx.q > target_deg:
         fld = ctx
         gn_l, g_l = gn, g
@@ -119,21 +121,46 @@ def _sequence_step(gn: Poly, g: Poly) -> Poly:
         fld = make_ext(ctx, r_star, seed=1)
         gn_l = Poly(fld, tuple(fld.embed(c) for c in gn.coeffs))
         g_l = Poly(fld, tuple(fld.embed(c) for c in g.coeffs))
-    pts = list(range(target_deg + 1))
-    vals = []
-    for x0 in pts:
-        lin = Poly.make(fld, (FqElem(fld, x0), FqElem(fld, fld.neg(1))))  # x0 - t
-        h = compose(g_l, lin)
-        vals.append(resultant(gn_l, h).val)
-    res = interpolate(fld, pts, vals)
+    minus_one = fld.neg(1)
+
+    def value_at(x0: int) -> int:
+        # g_{n+1}(x0) = Res_t(g_n(t), g(x0 - t))
+        return resultant(gn_l, compose(g_l, Poly(fld, (x0, minus_one)))).val
+
     if fld is ctx:
-        return res
-    out = []
-    for c in res.coeffs:
-        digits = fld.unpack(c)
-        assert all(dd == 0 for dd in digits[1:]), "sequence coefficients must lie in k"
-        out.append(digits[0])
-    return Poly(ctx, tuple(out))
+        pts = list(range(n_pts))
+        vals = [value_at(x0) for x0 in pts]
+    else:
+        # g_{n+1} has coefficients in k, so g_{n+1}(x0^q) = g_{n+1}(x0)^q:
+        # one resultant gives the values on the whole Frobenius orbit of x0.
+        pts, vals, seen = [], [], set()
+        x0 = 0
+        while len(pts) < n_pts:
+            if x0 not in seen:
+                x, v = x0, value_at(x0)
+                while x not in seen:
+                    seen.add(x)
+                    pts.append(x)
+                    vals.append(v)
+                    x, v = fld.frobenius(x), fld.frobenius(v)
+            x0 += 1
+        pts, vals = pts[:n_pts], vals[:n_pts]
+    res = interpolate(fld, pts, vals)
+    if fld is not ctx:
+        out = []
+        for c in res.coeffs:
+            digits = fld.unpack(c)
+            assert all(dd == 0 for dd in digits[1:]), "sequence coefficients must lie in k"
+            out.append(digits[0])
+        res = Poly(ctx, tuple(out))
+    # Res_t(g_n(t), g(x - t)) = lc(g_n)^deg g lc(g)^deg g_n prod (x - a - b)
+    lead = ctx.mul(ctx.pow_(gn.lead, g.degree), ctx.pow_(g.lead, gn.degree))
+    if res.degree != target_deg or res.coeff(target_deg) != lead:
+        raise SequenceMismatch(
+            f"interpolated sequence term has degree {res.degree} and leading "
+            f"coefficient {res.coeff(res.degree)}; expected {target_deg} and {lead}"
+        )
+    return res
 
 
 def resultant_sequence(g: Poly, n: int) -> Poly:

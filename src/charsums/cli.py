@@ -107,6 +107,33 @@ def _as_list(v, name, errors):
     return []
 
 
+def _coeff_range_errors(coeffs: list, kind: str, p: int, s: int, r_list: list[int]) -> list[str]:
+    """Explicit coefficients that do not name an element of the polynomial's field.
+
+    Over a prime field an integer is a residue and is reduced mod p.  On
+    F_{p^s} (s digits over F_p) and on the k_r of the homothety kinds
+    (r digits over k, checked on the smallest r) an integer is a packed
+    value and a [d_0 d_1 ...] group lists digits, so both must be in range.
+    """
+    hom = kind in ("HomAdd", "HomMult")
+    if hom and not r_list:
+        return []
+    base, n_digits = (p**s, min(r_list)) if hom else (p, s)
+    size = base**n_digits
+    residues = not hom and s == 1
+    errors = []
+    for i, c in enumerate(coeffs):
+        if isinstance(c, list):
+            if len(c) > n_digits or not all(0 <= x < base for x in c):
+                errors.append(
+                    f"poly.coeffs: a_{i} = [{' '.join(map(str, c))}] needs at most "
+                    f"{n_digits} digits, each in [0, {base})"
+                )
+        elif not residues and not 0 <= c < size:
+            errors.append(f"poly.coeffs: a_{i} = {c} is not in [0, {size})")
+    return errors
+
+
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a version-1 config dict; unknown fields are rejected."""
     errors: list[str] = []
@@ -158,6 +185,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     poly = data.get("poly", {"source": "random", "constraints": {}})
     source = poly.get("source") if isinstance(poly, dict) else None
     coeffs = None
+    coeff_list = None
     constraints: dict = {}
     if source == "explicit":
         coeffs = poly.get("coeffs")
@@ -165,7 +193,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             errors.append("poly.coeffs: coefficient text required for explicit source")
         else:
             try:
-                coeffs_from_text(coeffs)
+                coeff_list = coeffs_from_text(coeffs)
             except ValueError:
                 errors.append(
                     "poly.coeffs: expected comma-separated integers or [d0 d1 ...] groups"
@@ -205,6 +233,8 @@ def parse_config(data: dict) -> ExperimentConfig:
             errors.append("char.b: additive character must be nontrivial (b != 0 mod q)")
         if kind in ("WeilMult", "TransMult", "HomMult") and (q - 1) % char_m != 0:
             errors.append(f"char.m: {char_m} does not divide q - 1 = {q - 1}")
+        if coeff_list is not None:
+            errors.extend(_coeff_range_errors(coeff_list, kind, p, s, r_list))
 
     if errors:
         raise ConfigInvalid(errors)
@@ -648,9 +678,16 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
+        except OSError as exc:
+            print(f"error: {args.config}: {exc.strerror}", file=sys.stderr)
+            return 2
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            print(f"error: {args.config}: not a JSON config: {exc}", file=sys.stderr)
+            return 2
+        try:
             for key in ("seed", "workers", "cap"):
                 val = getattr(args, key)
-                if val is not None:
+                if val is not None and isinstance(data, dict):
                     data[key] = val
             config = parse_config(data)
             rows = run(config)

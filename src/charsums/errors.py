@@ -87,6 +87,10 @@ class RootsNotInBaseField(CharsumsError):
     pass
 
 
+class SequenceMismatch(CharsumsError):
+    pass
+
+
 # experiment harness
 class ConfigInvalid(CharsumsError):
     def __init__(self, messages):

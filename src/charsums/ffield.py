@@ -536,14 +536,8 @@ class ExtCtx:
 
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
-            return self.pow_(self.inv(a), -e)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+            a, e = self.inv(a), -e
+        return self.pack(self._kops.epow(self.unpack(a), e))
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -1,5 +1,6 @@
 """Bound constants, resultant sequence, main terms and hypothesis gates."""
 
+import itertools
 import json
 import math
 import random
@@ -34,8 +35,10 @@ from charsums.errors import (
     MthPower,
     NotExceptionalCell,
     RootsNotInBaseField,
+    SequenceMismatch,
 )
 from charsums.localdata import compute_local_data
+from charsums import boundbook
 from charsums.polyring import Poly, evaluate, random_poly, roots_in
 
 F5 = make_field(5, 1)
@@ -132,6 +135,90 @@ def test_resultant_sequence_value_at_zero_consistent():
             gn = resultant_sequence(g, n)
             v = resultant_sequence_value_at_zero(g, n)
             assert v == evaluate(gn, __import__("charsums").FqElem(F7, 0)).val
+
+
+def _tuple_sum_product(ctx, roots, n, lead=1):
+    """lead * prod over ordered n-tuples of roots of (x - sum), over k."""
+    out = Poly.make(ctx, (lead,))
+    for tup in itertools.product(roots, repeat=n):
+        out = out * Poly.make(ctx, (ctx.neg(sum(tup) % ctx.p), 1))
+    return out
+
+
+@pytest.mark.parametrize(
+    "ctx, roots, n",
+    [
+        (F5, (0, 1, 3), 3),  # auxiliary extensions F_25, F_125 and their orbits
+        (F7, (1, 2, 4), 3),  # F_49, F_343
+        (F13, (1, 3, 9, 11), 2),  # deg 16 > 13: F_169
+        (F13, (2, 5, 7), 2),  # deg 9 < 13: the base field, one point per resultant
+    ],
+)
+def test_resultant_sequence_exact_product_over_tuples(ctx, roots, n):
+    # exact oracle: coefficients, constants and multiplicities, not root sets
+    g = _tuple_sum_product(ctx, roots, 1)
+    assert resultant_sequence(g, n).coeffs == _tuple_sum_product(ctx, roots, n).coeffs
+
+
+def test_resultant_sequence_leading_coefficient_non_monic():
+    # g = c * prod (x - a) gives g_n = c^(n d^(n-1)) * prod over n-tuples
+    roots, c = (1, 2, 6), 3
+    for n in (2, 3):
+        g = _tuple_sum_product(F7, roots, 1, lead=c)
+        lead = F7.pow_(c, n * len(roots) ** (n - 1))
+        assert resultant_sequence(g, n) == _tuple_sum_product(F7, roots, n, lead=lead)
+
+
+def test_sequence_step_one_resultant_per_frobenius_orbit(monkeypatch):
+    real_resultant, real_interpolate = boundbook.resultant, boundbook.interpolate
+    calls, used = [], []
+
+    def counting_resultant(f, h):
+        calls.append(f.ctx)
+        return real_resultant(f, h)
+
+    def recording_interpolate(fld, pts, vals):
+        used.append((fld, list(pts)))
+        return real_interpolate(fld, pts, vals)
+
+    monkeypatch.setattr(boundbook, "resultant", counting_resultant)
+    monkeypatch.setattr(boundbook, "interpolate", recording_interpolate)
+    g = Poly.make(F7, (3, 0, 5, 1))
+    g3 = resultant_sequence(g, 3)
+    assert g3.degree == 27 and len(used) == 2
+    orbits = 0
+    for fld, pts in used:
+        assert fld.r >= 2 and len(pts) == len(set(pts))
+        reps = set()
+        for x in pts:
+            orbit = {x}
+            while (x := fld.frobenius(x)) not in orbit:
+                orbit.add(x)
+            reps.add(min(orbit))
+        orbits += len(reps)
+        assert len(reps) < len(pts)
+    assert len(calls) == orbits
+
+
+def test_sequence_step_rejects_wrong_degree_or_leading_coefficient(monkeypatch):
+    real_interpolate = boundbook.interpolate
+    g = Poly.make(F7, (3, 0, 5, 1))
+    good = resultant_sequence(g, 2)
+
+    def drop_top(fld, pts, vals):
+        f = real_interpolate(fld, pts, vals)
+        return Poly(fld, f.coeffs[:-1])
+
+    def double_top(fld, pts, vals):
+        f = real_interpolate(fld, pts, vals)
+        return Poly(fld, f.coeffs[:-1] + (fld.add(f.lead, f.lead),))
+
+    for bad in (drop_top, double_top):
+        monkeypatch.setattr(boundbook, "interpolate", bad)
+        with pytest.raises(SequenceMismatch):
+            resultant_sequence(g, 2)
+    monkeypatch.setattr(boundbook, "interpolate", real_interpolate)
+    assert resultant_sequence(g, 2) == good
 
 
 def test_main_term_magnitudes():

@@ -241,3 +241,65 @@ def test_json_output(tmp_path):
     rows = json.loads(out.read_text())
     assert isinstance(rows, list) and rows[0]["kind"].startswith("TransAdd")
     assert "S_abs" in rows[0] and "seconds" in rows[0]
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("missing.json", None),  # never written
+        ("malformed.json", "{bad"),
+        ("binary.json", b"\xff\xfe\x00"),
+    ],
+    ids=["missing", "malformed", "undecodable"],
+)
+def test_run_unreadable_config_is_one_error_line(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
+    assert main(["run", str(path), "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_run_non_object_config_with_override_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["run", str(path), "--seed", "3"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["config error: config must be a JSON object"]
+
+
+@pytest.mark.parametrize(
+    "over, bad",
+    [
+        ({"kind": "TransMult", "p": 3, "s": 2, "char": {"m": 2}}, "a_0 = 100"),
+        ({"p": 3, "s": 2, "poly": {"source": "explicit", "coeffs": "1,-1,0,1"}}, "a_1 = -1"),
+        ({"p": 3, "s": 2, "poly": {"source": "explicit", "coeffs": "[1 0],[0 0 1],[1]"}},
+         "a_1 = [0 0 1]"),
+        ({"kind": "HomAdd", "p": 7, "r": [2, 3], "e": [3],
+          "poly": {"source": "explicit", "coeffs": "1,49,1"}}, "a_1 = 49"),
+        ({"kind": "HomAdd", "p": 7, "r": [2], "e": [3],
+          "poly": {"source": "explicit", "coeffs": "[1 7],1"}}, "a_0 = [1 7]"),
+    ],
+    ids=["F9-int", "F9-negative", "F9-digits", "HomAdd-int", "HomAdd-digit"],
+)
+def test_parse_config_rejects_out_of_range_explicit_coefficients(tmp_path, capsys, over, bad):
+    data = cfg(**{"poly": {"source": "explicit", "coeffs": "100,0,0,1"}, **over})
+    with pytest.raises(ConfigInvalid) as info:
+        parse_config(data)
+    assert any(bad in msg for msg in info.value.messages)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: poly.coeffs: " + bad)
+
+
+def test_parse_config_reduces_explicit_integers_over_prime_fields():
+    config = parse_config(cfg(poly={"source": "explicit", "coeffs": "100,-1,0,1"}))
+    rows = run(config)
+    assert rows and all(row.poly == "2,6,0,1" for row in rows)

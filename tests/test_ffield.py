@@ -229,3 +229,24 @@ def test_recipe_rebuild_identical():
     ea = make_ext(a, 2, seed=5)
     eb = make_ext(b, 2, seed=5)
     assert ea == eb and ea.modulus_r == eb.modulus_r and ea.generator_r == eb.generator_r
+
+
+@pytest.mark.parametrize("p, s, r", [(7, 1, 3), (3, 2, 2)])
+def test_ext_pow_and_inv_agree_with_repeated_mul(p, s, r):
+    # F_7^3 and F_9^2: digit-tuple powers against a product of e factors
+    ext = make_ext(make_field(p, s, seed=0), r, seed=0)
+    rng = random.Random(p * 10 + r)
+    for _ in range(20):
+        a = rng.randrange(1, ext.size)
+        power = 1
+        for e in range(1, 12):
+            power = ext.mul(power, a)
+            assert ext.pow_(a, e) == power
+            assert ext.mul(ext.pow_(a, -e), power) == 1
+        inv = ext.inv(a)
+        assert ext.mul(a, inv) == 1 and ext.pow_(a, -1) == inv
+        assert ext.pow_(a, 0) == 1 and ext.pow_(a, ext.size - 1) == 1
+    with pytest.raises(ZeroElement):
+        ext.inv(0)
+    with pytest.raises(ZeroElement):
+        ext.pow_(0, -2)
