@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .charsum import AdditiveChar, MultChar, gauss_sum
 from .errors import (
@@ -133,9 +134,12 @@ def _sequence_step(gn: Poly, g: Poly) -> Poly:
     else:
         # g_{n+1} has coefficients in k, so g_{n+1}(x0^q) = g_{n+1}(x0)^q:
         # one resultant gives the values on the whole Frobenius orbit of x0.
+        # The q elements of k (packed values below q) are orbits of size 1,
+        # so they come last.
         pts, vals, seen = [], [], set()
-        x0 = 0
-        while len(pts) < n_pts:
+        for x0 in chain(range(ctx.q, fld.size), range(ctx.q)):
+            if len(pts) >= n_pts:
+                break
             if x0 not in seen:
                 x, v = x0, value_at(x0)
                 while x not in seen:
@@ -143,7 +147,6 @@ def _sequence_step(gn: Poly, g: Poly) -> Poly:
                     pts.append(x)
                     vals.append(v)
                     x, v = fld.frobenius(x), fld.frobenius(v)
-            x0 += 1
         pts, vals = pts[:n_pts], vals[:n_pts]
     res = interpolate(fld, pts, vals)
     if fld is not ctx:

@@ -4,8 +4,11 @@ Every sum is sum_v c_v * chi(v) over v in k, where c_v counts the
 elements of k_r (or of a norm fiber) whose trace or norm index is v.
 Each index-range partition of k_r yields exact integer counts, which are
 added exactly and evaluated once in fixed order, so serial runs and
-worker pools produce bit-identical values.  Multiplicative characters
-are only ever evaluated on the small base field k, after taking norms.
+worker pools produce bit-identical values.  A pool task carries the
+extension context itself; it pickles back into its `make_ext` call, so
+each worker builds a field once and reuses it for every later task.
+Multiplicative characters are only ever evaluated on the small base
+field k, after taking norms.
 """
 
 from __future__ import annotations
@@ -13,11 +16,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
 
 from .errors import CtxMismatch, FieldTooLarge, NotABasis, ZeroMu
+# make_ext and make_field are unused here but stay importable from this
+# module: perfbench/tracer.py rebinds them here to time field construction
 from .ffield import ExtCtx, FieldCtx, FqElem, make_ext, make_field
 from .polyring import Poly, evaluate
 
@@ -136,22 +141,6 @@ def _part_ranges(n: int) -> list[tuple[int, int]]:
     return [(i * n // total, (i + 1) * n // total) for i in range(total)]
 
 
-_CTX_CACHE: dict[tuple, object] = {}
-
-
-def _ctx_from_recipe(recipe):
-    ctx = _CTX_CACHE.get(recipe)
-    if ctx is None:
-        if recipe[0] == "field":
-            _, p, s, seed = recipe
-            ctx = make_field(p, s, seed)
-        else:
-            _, p, s, base_seed, r, seed = recipe
-            ctx = make_ext(make_field(p, s, base_seed), r, seed)
-        _CTX_CACHE[recipe] = ctx
-    return ctx
-
-
 def _inner_fn(ko, inner):
     """Exact evaluation plan for the summation variable.
 
@@ -174,8 +163,7 @@ def _inner_fn(ko, inner):
 def _count_part(task) -> list[int]:
     """Counts of Tr f(x) ("S") or N f(x) ("U") over a partition of k_r, or
     of its fiber N(x) = mu, or of Tr f(t) + u Tr(t) for all u in k ("D")."""
-    recipe, mode, coeffs, inner, mu, start, stop = task
-    ext = _ctx_from_recipe(recipe)
+    ext, mode, coeffs, inner, mu, start, stop = task
     ko = ext._kops
     q = ext.base.q
     emul, eadd, etr, enorm = ko.emul, ko.eadd, ko.etr, ko.enorm
@@ -227,15 +215,13 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
     if terms > cap:
         raise FieldTooLarge(f"enumeration of {terms} terms exceeds cap {cap}")
     coeffs = _ext_coeff_tuples(f, ext)
-    tasks = [(ext.recipe, mode, coeffs, inner, mu, a, b) for a, b in _part_ranges(n)]
+    tasks = [(ext, mode, coeffs, inner, mu, a, b) for a, b in _part_ranges(n)]
     mapper = pool.map if pool is not None and len(tasks) > 1 else map
     counts = [sum(col) for col in zip(*mapper(_count_part, tasks))]
     expected = terms if mu is None else (n - 1) // (q - 1)
     if sum(counts) != expected:
         raise RuntimeError(f"counted {sum(counts)} terms, expected {expected}")
-    # the recipe-built context the counts used, when this process has it,
-    # already holds the lazy field tables that building char's table needs
-    tab = replace(char, ctx=_CTX_CACHE.get(ext.recipe, ext).base).table()
+    tab = char.table()
     return _csum(c * tab[v] for v, c in enumerate(counts) if c)
 
 

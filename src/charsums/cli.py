@@ -169,6 +169,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(s, int) or s < 1:
         errors.append("s: must be >= 1")
     r_list = _as_list(data.get("r", 1), "r", errors)
+    if any(r < 1 for r in r_list):
+        errors.append("r: every extension level must be >= 1")
     d_list = _as_list(data.get("d", 0), "d", errors) if "d" in data else []
     e_list = _as_list(data.get("e", 1), "e", errors) if "e" in data else [1]
 
@@ -235,6 +237,17 @@ def parse_config(data: dict) -> ExperimentConfig:
             errors.append(f"char.m: {char_m} does not divide q - 1 = {q - 1}")
         if coeff_list is not None:
             errors.extend(_coeff_range_errors(coeff_list, kind, p, s, r_list))
+        if kind in ("HomAdd", "HomMult"):
+            bad_e = [e for e in e_list if e < 1 or (q - 1) % e]
+            if bad_e:
+                errors.append(f"e: {', '.join(map(str, bad_e))} must divide q - 1 = {q - 1}")
+        if isinstance(cap, int) and 0 < cap <= MAX_CAP:
+            # q >= 2 and cap <= 2^26, so q^r exceeds the cap for every r > 26
+            big_r = [r for r in r_list if q ** min(r, 27) > cap]
+            if big_r:
+                errors.append(
+                    f"r: q^r exceeds the configured cap {cap} for r = {', '.join(map(str, big_r))}"
+                )
 
     if errors:
         raise ConfigInvalid(errors)

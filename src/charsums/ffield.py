@@ -11,7 +11,11 @@ raw digit tuples through the closures built by `ExtCtx._kops`.
 
 Extensions are represented relative to the base field k (k_r =
 k[Y]/(m_r)), not rebuilt over F_p, so trace and norm relative to k come
-out as Frobenius sums/products directly.
+out as Frobenius sums/products directly.  F_{p^s} (s > 1) is itself the
+degree-s extension of F_p, so its arithmetic and lookup tables come from
+that extension's kernel, with the same packing.  `make_field` and
+`make_ext` share one seeded search for modulus and generator, and return
+one context per argument tuple; a context pickles back into that call.
 """
 
 from __future__ import annotations
@@ -175,28 +179,35 @@ def _psub(ops, a, b):
     return _ptrim(out)
 
 
-class _PrimeOps:
-    """Field ops for F_p on plain ints, used before any FieldCtx exists."""
+# ---------------------------------------------------------------------------
+# construction: one seeded search, one context per argument tuple
+# ---------------------------------------------------------------------------
 
-    def __init__(self, p):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
+# (p, s, seed) -> FieldCtx and (base, r, seed) -> ExtCtx
+_CONTEXTS: dict[tuple, object] = {}
 
-    def add(self, a, b):
-        return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
+def _unit_generator(rng, ctx, size: int) -> int:
+    """The first seeded draw in [1, size) whose order is size - 1."""
+    prime_divs = factorize(size - 1)
+    while True:
+        g = rng.randrange(1, size)
+        if all(ctx.pow_(g, (size - 1) // ell) != 1 for ell in prime_divs):
+            break
+    assert ctx.pow_(g, size - 1) == 1
+    return g
 
-    def neg(self, a):
-        return -a % self.p
 
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
+def _extension(base: "FieldCtx", r: int, rng, seed: int) -> "ExtCtx":
+    """base[Y]/(m) for the first seeded monic irreducible m of degree r >= 2,
+    with the first seeded generator of its unit group."""
+    while True:
+        coeffs = [rng.randrange(base.q) for _ in range(r)] + [1]
+        if _irreducible(base, coeffs, base.q):
+            break
+    ctx = ExtCtx(base=base, r=r, modulus_r=tuple(coeffs), generator_r=1, seed=seed)
+    object.__setattr__(ctx, "generator_r", _unit_generator(rng, ctx, ctx.size))
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -243,55 +254,21 @@ class FieldCtx:
     def one(self) -> int:
         return 1
 
-    @property
-    def recipe(self):
-        return ("field", self.p, self.s, self.seed)
-
-    def __getstate__(self):
-        return (self.p, self.s, self.modulus, self.generator, self.q, self.seed)
-
-    def __setstate__(self, st):
-        for name, val in zip(("p", "s", "modulus", "generator", "q", "seed"), st):
-            object.__setattr__(self, name, val)
+    def __reduce__(self):
+        return make_field, (self.p, self.s, self.seed)
 
     # -- cached structure --------------------------------------------------
-    @cached_property
-    def _red_rows(self):
-        # X^(s+i) mod modulus for i = 0..s-2, as coefficient tuples
-        if self.s == 1:
-            return ()
-        m = list(self.modulus)
-        rows = []
-        # X^s mod m = -(m_0 + ... + m_{s-1} X^{s-1})
-        base_row = [(-c) % self.p for c in m[: self.s]]
-        rows.append(tuple(base_row))
-        prev = base_row
-        for _ in range(self.s - 2):
-            # multiply prev by X, reduce once
-            nxt = [0] + prev[:-1]
-            carry = prev[-1]
-            if carry:
-                nxt = [(nv + carry * rv) % self.p for nv, rv in zip(nxt, base_row)]
-            rows.append(tuple(nxt))
-            prev = nxt
-        return tuple(rows)
+    # For s > 1, make_field sets `_ext`: this field as the degree-s
+    # extension of F_p (same packing), whose kernel does the arithmetic.
+    # It is private and never handed out: it pickles as a make_ext call,
+    # which would build a different modulus.
 
-    def _vec_mul(self, a_vec, b_vec):
-        p, s = self.p, self.s
-        t = [0] * (2 * s - 1)
-        for i, ai in enumerate(a_vec):
-            if ai:
-                for j, bj in enumerate(b_vec):
-                    t[i + j] += ai * bj
-        rows = self._red_rows
-        for idx in range(2 * s - 2, s - 1, -1):
-            c = t[idx] % p
-            if c:
-                row = rows[idx - s]
-                for j, rv in enumerate(row):
-                    if rv:
-                        t[j] += c * rv
-        return tuple(v % p for v in t[:s])
+    def _ext_table(self, op: str):
+        # q x q table of an extension-kernel operation on digit tuples
+        ext = self._ext
+        f, pack = getattr(ext._kops, op), ext.pack
+        vecs = [ext.unpack(a) for a in range(self.q)]
+        return [[pack(f(va, vb)) for vb in vecs] for va in vecs]
 
     @cached_property
     def _mul_tab(self):
@@ -300,12 +277,7 @@ class FieldCtx:
         if self.s == 1:
             p = self.p
             return [[a * b % p for b in range(p)] for a in range(p)]
-        tab = []
-        vecs = [self.unpack(a) for a in range(self.q)]
-        for a in range(self.q):
-            row = [self.pack(self._vec_mul(vecs[a], vecs[b])) for b in range(self.q)]
-            tab.append(row)
-        return tab
+        return self._ext_table("emul")
 
     @cached_property
     def _add_tab(self):
@@ -314,16 +286,7 @@ class FieldCtx:
         if self.s == 1:
             p = self.p
             return [[(a + b) % p for b in range(p)] for a in range(p)]
-        tab = []
-        vecs = [self.unpack(a) for a in range(self.q)]
-        for a in range(self.q):
-            va = vecs[a]
-            row = [
-                self.pack(tuple((x + y) % self.p for x, y in zip(va, vecs[b])))
-                for b in range(self.q)
-            ]
-            tab.append(row)
-        return tab
+        return self._ext_table("eadd")
 
     @cached_property
     def _neg_tab(self):
@@ -360,9 +323,7 @@ class FieldCtx:
         tab = self._add_tab
         if tab is not None:
             return tab[a][b]
-        return self.pack(
-            tuple((x + y) % self.p for x, y in zip(self.unpack(a), self.unpack(b)))
-        )
+        return self._ext.add(a, b)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -370,7 +331,7 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         if self.s == 1:
             return -a % self.p
-        return self.pack(tuple(-c % self.p for c in self.unpack(a)))
+        return self._ext.neg(a)
 
     def mul(self, a: int, b: int) -> int:
         if self.s == 1:
@@ -378,7 +339,7 @@ class FieldCtx:
         tab = self._mul_tab
         if tab is not None:
             return tab[a][b]
-        return self.pack(self._vec_mul(self.unpack(a), self.unpack(b)))
+        return self._ext.mul(a, b)
 
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
@@ -403,12 +364,7 @@ class FieldCtx:
         tab = self.__dict__.get("_abs_trace_tab")
         if tab is not None:
             return tab[a]
-        t = a
-        acc = a
-        for _ in range(self.s - 1):
-            t = self.pow_(t, self.p)
-            acc = self.add(acc, t)
-        return acc  # packed constant: Frobenius-fixed, so < p
+        return self._ext.trace_to_base(a)
 
     @property
     def ops(self):
@@ -421,7 +377,13 @@ class FieldCtx:
 
 
 def make_field(p: int, s: int, seed: int = 0) -> FieldCtx:
-    """Build F_{p^s} with a seeded irreducible modulus and a verified generator."""
+    """F_{p^s} with a seeded irreducible modulus and a verified generator.
+
+    One shared context per (p, s, seed); a bad argument raises on every call.
+    """
+    ctx = _CONTEXTS.get((p, s, seed))
+    if ctx is not None:
+        return ctx
     if not is_prime(p):
         raise NotPrime(f"p={p} is not prime")
     if s < 1:
@@ -430,27 +392,14 @@ def make_field(p: int, s: int, seed: int = 0) -> FieldCtx:
     if q >= MAX_CARD:
         raise Overflow(f"p^s = {q} does not fit in 63 bits")
     rng = random.Random(seed)
-    ops = _PrimeOps(p)
-    modulus = None
-    if s > 1:
-        while True:
-            coeffs = [rng.randrange(p) for _ in range(s)] + [1]
-            if _irreducible(ops, coeffs, p):
-                modulus = tuple(coeffs)
-                break
-    ctx = FieldCtx(p=p, s=s, modulus=modulus, generator=1, q=q, seed=seed)
-    # generator: order-test random candidates against the factorization of q-1
-    if q == 2:
-        gen = 1
+    if s == 1:
+        ctx = FieldCtx(p=p, s=1, modulus=None, generator=1, q=p, seed=seed)
+        object.__setattr__(ctx, "generator", _unit_generator(rng, ctx, p))
     else:
-        prime_divs = factorize(q - 1)
-        while True:
-            g = rng.randrange(1, q)
-            if all(ctx.pow_(g, (q - 1) // ell) != 1 for ell in prime_divs):
-                gen = g
-                break
-        assert ctx.pow_(gen, q - 1) == 1
-    object.__setattr__(ctx, "generator", gen)
+        ext = _extension(make_field(p, 1), s, rng, seed)
+        ctx = FieldCtx(p=p, s=s, modulus=ext.modulus_r, generator=ext.generator_r, q=q, seed=seed)
+        object.__setattr__(ctx, "_ext", ext)
+    _CONTEXTS[(p, s, seed)] = ctx
     return ctx
 
 
@@ -473,16 +422,8 @@ class ExtCtx:
     def size(self) -> int:
         return self.base.q**self.r
 
-    @property
-    def recipe(self):
-        return ("ext", self.base.p, self.base.s, self.base.seed, self.r, self.seed)
-
-    def __getstate__(self):
-        return (self.base, self.r, self.modulus_r, self.generator_r, self.seed)
-
-    def __setstate__(self, st):
-        for name, val in zip(("base", "r", "modulus_r", "generator_r", "seed"), st):
-            object.__setattr__(self, name, val)
+    def __reduce__(self):
+        return make_ext, (self.base, self.r, self.seed)
 
     # -- packing ----------------------------------------------------------
     def pack(self, digits) -> int:
@@ -798,31 +739,24 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
 
 
 def make_ext(base: FieldCtx, r: int, seed: int = 0) -> ExtCtx:
-    """Build k_r = k[Y]/(m_r) with seeded irreducible m_r and verified generator."""
+    """k_r = k[Y]/(m_r) with seeded irreducible m_r and verified generator.
+
+    One shared context per (base, r, seed); a bad argument raises on every call.
+    """
+    ctx = _CONTEXTS.get((base, r, seed))
+    if ctx is not None:
+        return ctx
     if r < 1:
         raise ValueError("extension degree must be >= 1")
     size = base.q**r
     if size >= MAX_CARD:
         raise Overflow(f"q^r = {size} does not fit in 63 bits")
-    rng = random.Random(seed ^ 0x5EED)
     if r == 1:
-        modulus = (0, 1)  # Y, so k_1 = k via Y -> 0
-        ctx = ExtCtx(base=base, r=1, modulus_r=modulus, generator_r=base.generator, seed=seed)
-        return ctx
-    ops = base.ops
-    while True:
-        coeffs = [rng.randrange(base.q) for _ in range(r)] + [1]
-        if _irreducible(ops, coeffs, base.q):
-            modulus = tuple(coeffs)
-            break
-    ctx = ExtCtx(base=base, r=r, modulus_r=modulus, generator_r=1, seed=seed)
-    prime_divs = factorize(size - 1)
-    while True:
-        g = rng.randrange(1, size)
-        if all(ctx.pow_(g, (size - 1) // ell) != 1 for ell in prime_divs):
-            break
-    assert ctx.pow_(g, size - 1) == 1
-    object.__setattr__(ctx, "generator_r", g)
+        # Y, so k_1 = k via Y -> 0
+        ctx = ExtCtx(base=base, r=1, modulus_r=(0, 1), generator_r=base.generator, seed=seed)
+    else:
+        ctx = _extension(base, r, random.Random(seed ^ 0x5EED), seed)
+    _CONTEXTS[(base, r, seed)] = ctx
     return ctx
 
 

@@ -200,6 +200,25 @@ def test_sequence_step_one_resultant_per_frobenius_orbit(monkeypatch):
     assert len(calls) == orbits
 
 
+def test_sequence_step_walks_orbits_outside_k_first(monkeypatch):
+    # a quintic over F_7: the step from g_2 (degree 25) to g_3 (degree 125)
+    # interpolates on F_343, where the 126 points outside F_7 form 42 orbits
+    # of size 3; walking the 7 size-1 orbits of F_7 first would cost 47
+    g = Poly.make(F7, (2, 1, 3, 0, 0, 1))
+    g2 = resultant_sequence(g, 2)
+    real_resultant = boundbook.resultant
+    calls = []
+
+    def counting_resultant(f, h):
+        calls.append(f.ctx)
+        return real_resultant(f, h)
+
+    monkeypatch.setattr(boundbook, "resultant", counting_resultant)
+    g3 = boundbook._sequence_step(g2, g)
+    assert g3.degree == 125 and g3.ctx is F7
+    assert len(calls) == 42 and all(fld.size == 343 for fld in calls)
+
+
 def test_sequence_step_rejects_wrong_degree_or_leading_coefficient(monkeypatch):
     real_interpolate = boundbook.interpolate
     g = Poly.make(F7, (3, 0, 5, 1))

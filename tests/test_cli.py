@@ -1,11 +1,12 @@
 """Config validation, constrained generation, the run harness, and the CLI."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
-from charsums import make_field
+from charsums import cli, make_field
 from charsums.cli import (
     all_applicable_pass,
     check_identity,
@@ -165,9 +166,33 @@ def test_run_homothety_kinds():
 
 
 def test_run_rejects_cap_overflow():
-    config = parse_config(cfg(r=[8], cap=1 << 20))
     with pytest.raises(ConfigInvalid):
-        run(config)  # 7^8 exceeds the configured cap
+        parse_config(cfg(r=[8], cap=1 << 20))  # 7^8 exceeds the configured cap
+    # library callers that skip parse_config still meet the check in run
+    config = dataclasses.replace(parse_config(cfg()), r=[8], cap=1 << 20)
+    with pytest.raises(ConfigInvalid):
+        run(config)
+
+
+@pytest.mark.parametrize(
+    "over, field",
+    [
+        ({"kind": "HomAdd", "e": [4]}, "e"),  # 4 does not divide 7 - 1
+        ({"kind": "HomMult", "e": [2, 4, 0]}, "e"),
+        ({"r": [1, 8, 30], "cap": 1 << 20}, "r"),  # 7^8 and 7^30 exceed the cap
+        ({"r": [0, 2]}, "r"),
+    ],
+)
+def test_parse_config_rejects_bad_e_r_and_cap_overflow(tmp_path, capsys, monkeypatch, over, field):
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_config(cfg(**over))
+    assert [msg.split(":")[0] for msg in exc.value.messages] == [field]
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: pytest.fail("run was reached"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg(**over)))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {field}: ")
 
 
 def test_flags_recomputable_from_rows():

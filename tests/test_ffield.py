@@ -1,5 +1,6 @@
 """Field construction, trace/norm laws, enumeration and dlog."""
 
+import pickle
 import random
 from collections import Counter
 
@@ -200,11 +201,22 @@ def test_flavors_agree_on_shared_sizes():
     assert _kops_flavor(f37) == "generic"
     ext = make_ext(f37, 1, seed=0)
     rng = random.Random(2)
+    p, s, m = f37.p, f37.s, f37.modulus
     for _ in range(50):
         a, b = rng.randrange(f37.q), rng.randrange(f37.q)
-        ab = f37.mul(a, b)
-        # cross-check against direct vector convolution
-        assert ab == f37.pack(f37._vec_mul(f37.unpack(a), f37.unpack(b)))
+        # independent oracle in plain ints: schoolbook product of the
+        # coefficient vectors, reduced mod the monic modulus
+        va = [a // p**i % p for i in range(s)]
+        vb = [b // p**i % p for i in range(s)]
+        t = [0] * (2 * s - 1)
+        for i, x in enumerate(va):
+            for j, y in enumerate(vb):
+                t[i + j] += x * y
+        for k in range(2 * s - 2, s - 1, -1):
+            c, t[k] = t[k], 0
+            for j in range(s):
+                t[k - s + j] -= c * m[j]
+        assert f37.mul(a, b) == sum(c % p * p**i for i, c in enumerate(t[:s]))
     # big prime field: modp flavor
     f = make_field(4099, 1, seed=0)
     assert _kops_flavor(f) == "modp"
@@ -229,6 +241,45 @@ def test_recipe_rebuild_identical():
     ea = make_ext(a, 2, seed=5)
     eb = make_ext(b, 2, seed=5)
     assert ea == eb and ea.modulus_r == eb.modulus_r and ea.generator_r == eb.generator_r
+    # one shared context per argument tuple, however the seed is passed
+    assert a is b and make_field(13, 1, 3) is a and ea is eb and make_ext(a, 2, 5) is ea
+    f9 = make_field(3, 2)
+    assert make_field(3, 2, 0) is f9 and make_ext(f9, 3) is make_ext(f9, 3, seed=0)
+
+
+def test_contexts_pickle_to_the_memoized_object():
+    f9 = make_field(3, 2)
+    for ctx in (make_field(13, 1, 3), f9, make_ext(f9, 2, 5), make_ext(make_field(7, 1), 1)):
+        assert pickle.loads(pickle.dumps(ctx)) is ctx
+
+
+def test_bad_constructor_arguments_raise_on_every_call():
+    base = make_field(5, 1)
+    for _ in range(2):
+        with pytest.raises(NotPrime):
+            make_field(4, 1)
+        with pytest.raises(ValueError):
+            make_ext(base, 0)
+
+
+@pytest.mark.parametrize(
+    "build, modulus, generator",
+    [
+        (lambda: make_field(2, 4, seed=1), (1, 1, 1, 1, 1), 14),
+        (lambda: make_field(3, 2), (2, 1, 1), 8),
+        (lambda: make_field(7, 3), (6, 3, 6, 1), 133),
+        (lambda: make_ext(make_field(3, 2), 2), (2, 6, 1), 40),
+        (lambda: make_ext(make_field(7, 1), 3, seed=1), (1, 0, 1, 1), 314),
+    ],
+    ids=["F16-seed1", "F9", "F343", "F81-over-F9", "F343-over-F7-seed1"],
+)
+def test_moduli_and_generators_are_pinned(build, modulus, generator):
+    # the seeded searches must keep drawing the same modulus and generator
+    ctx = build()
+    if hasattr(ctx, "modulus_r"):
+        assert (ctx.modulus_r, ctx.generator_r) == (modulus, generator)
+    else:
+        assert (ctx.modulus, ctx.generator) == (modulus, generator)
 
 
 @pytest.mark.parametrize("p, s, r", [(7, 1, 3), (3, 2, 2)])
