@@ -34,6 +34,7 @@ from .polyring import (
     discriminant,
     interpolate,
     is_squarefree,
+    lift,
     parity_check,
     resultant,
     root_structure,
@@ -120,8 +121,7 @@ def _sequence_step(gn: Poly, g: Poly) -> Poly:
         while ctx.q**r_star <= target_deg:
             r_star += 1
         fld = make_ext(ctx, r_star, seed=1)
-        gn_l = Poly(fld, tuple(fld.embed(c) for c in gn.coeffs))
-        g_l = Poly(fld, tuple(fld.embed(c) for c in g.coeffs))
+        gn_l, g_l = lift(gn, fld), lift(g, fld)
     minus_one = fld.neg(1)
 
     def value_at(x0: int) -> int:

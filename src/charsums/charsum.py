@@ -24,7 +24,7 @@ from .errors import CtxMismatch, FieldTooLarge, NotABasis, ZeroMu
 # make_ext and make_field are unused here but stay importable from this
 # module: perfbench/tracer.py rebinds them here to time field construction
 from .ffield import ExtCtx, FieldCtx, FqElem, make_ext, make_field
-from .polyring import Poly, evaluate
+from .polyring import Poly, evaluate, lift
 
 DEFAULT_CAP = 1 << 24
 DOUBLE_CAP = 1 << 26
@@ -226,15 +226,7 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
 
 
 def _ext_coeff_tuples(f: Poly, ext: ExtCtx) -> tuple:
-    if f.ctx == ext:
-        coeffs = f.coeffs
-    elif f.ctx == ext.base:
-        coeffs = tuple(ext.embed(c) for c in f.coeffs)
-    else:
-        raise CtxMismatch("polynomial not defined over the extension or its base")
-    if not coeffs:
-        coeffs = (0,)
-    return tuple(ext.unpack(c) for c in coeffs)
+    return tuple(ext.unpack(c) for c in lift(f, ext).coeffs or (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -389,24 +381,9 @@ def weil_descent_check(
         for _ in range(r - 1):
             cs.append(ext.frobenius(cs[-1]))
         conj_basis.append(cs)
-    g_ext = (
-        g.coeffs
-        if g.ctx == ext
-        else tuple(ext.embed(c) for c in g.coeffs)
-        if g.ctx == base
-        else None
-    )
-    if g_ext is None:
-        raise CtxMismatch("polynomial not defined over the extension or its base")
-    conj_coeffs = [list(g_ext)]
+    conj_g = [lift(g, ext)]
     for _ in range(r - 1):
-        conj_coeffs.append([ext.frobenius(c) for c in conj_coeffs[-1]])
-
-    def eval_coeffs(coeffs, x):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = ext.add(ext.mul(acc, x), c)
-        return acc
+        conj_g.append(Poly(ext, tuple(ext.frobenius(c) for c in conj_g[-1].coeffs)))
 
     rng = random.Random(seed)
     for _ in range(trials):
@@ -428,7 +405,7 @@ def weil_descent_check(
             return False
         tr_sum = 0
         for si in range(r):
-            tr_sum = ext.add(tr_sum, eval_coeffs(conj_coeffs[si], forms[si]))
-        if tr_sum != ext.embed(ext.trace_to_base(eval_coeffs(g_ext, z))):
+            tr_sum = ext.add(tr_sum, evaluate(conj_g[si], FqElem(ext, forms[si])).val)
+        if tr_sum != ext.embed(ext.trace_to_base(evaluate(conj_g[0], FqElem(ext, z)).val)):
             return False
     return True

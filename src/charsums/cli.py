@@ -107,8 +107,9 @@ def _as_list(v, name, errors):
     return []
 
 
-def _coeff_range_errors(coeffs: list, kind: str, p: int, s: int, r_list: list[int]) -> list[str]:
-    """Explicit coefficients that do not name an element of the polynomial's field.
+def _coeff_errors(coeffs: list, kind: str, p: int, s: int, r_list: list[int]) -> list[str]:
+    """Explicit coefficients that do not name an element of the polynomial's
+    field, or that are all zero.
 
     Over a prime field an integer is a residue and is reduced mod p.  On
     F_{p^s} (s digits over F_p) and on the k_r of the homothety kinds
@@ -116,12 +117,14 @@ def _coeff_range_errors(coeffs: list, kind: str, p: int, s: int, r_list: list[in
     value and a [d_0 d_1 ...] group lists digits, so both must be in range.
     """
     hom = kind in ("HomAdd", "HomMult")
-    if hom and not r_list:
-        return []
-    base, n_digits = (p**s, min(r_list)) if hom else (p, s)
-    size = base**n_digits
     residues = not hom and s == 1
     errors = []
+    if all(not any(c) if isinstance(c, list) else (c % p if residues else c) == 0 for c in coeffs):
+        errors.append("poly.coeffs: every coefficient is zero")
+    if hom and not r_list:
+        return errors
+    base, n_digits = (p**s, min(r_list)) if hom else (p, s)
+    size = base**n_digits
     for i, c in enumerate(coeffs):
         if isinstance(c, list):
             if len(c) > n_digits or not all(0 <= x < base for x in c):
@@ -164,14 +167,19 @@ def parse_config(data: dict) -> ExperimentConfig:
         errors.append(f"kind: must be one of {KINDS}")
     p = data.get("p")
     s = data.get("s", 1)
-    if not isinstance(p, int) or not is_prime(p):
+    p_ok = isinstance(p, int) and is_prime(p)
+    if not p_ok:
         errors.append("p: prime required")
     if not isinstance(s, int) or s < 1:
         errors.append("s: must be >= 1")
+    elif p_ok and s * math.log2(p) >= 63:
+        errors.append("s: p^s must be below 2^63")
     r_list = _as_list(data.get("r", 1), "r", errors)
     if any(r < 1 for r in r_list):
         errors.append("r: every extension level must be >= 1")
     d_list = _as_list(data.get("d", 0), "d", errors) if "d" in data else []
+    if any(d < 1 for d in d_list):
+        errors.append("d: every degree must be >= 1")
     e_list = _as_list(data.get("e", 1), "e", errors) if "e" in data else [1]
 
     char = data.get("char", {})
@@ -229,14 +237,17 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(workers, int) or workers < 1:
         errors.append("workers: must be >= 1")
 
-    if isinstance(p, int) and isinstance(s, int) and p >= 2 and s >= 1:
+    # p^s is only formed below 2^63: with a huge s it would not finish
+    if isinstance(p, int) and isinstance(s, int) and p >= 2 and s >= 1 and s * math.log2(p) < 63:
         q = p**s
         if isinstance(char_b, int) and char_b % q == 0:
             errors.append("char.b: additive character must be nontrivial (b != 0 mod q)")
         if kind in ("WeilMult", "TransMult", "HomMult") and (q - 1) % char_m != 0:
             errors.append(f"char.m: {char_m} does not divide q - 1 = {q - 1}")
         if coeff_list is not None:
-            errors.extend(_coeff_range_errors(coeff_list, kind, p, s, r_list))
+            # q^r <= cap <= 2^26 needs r <= 26; the cap check below rejects larger r
+            levels = [r for r in r_list if 1 <= r <= 26]
+            errors.extend(_coeff_errors(coeff_list, kind, p, s, levels))
         if kind in ("HomAdd", "HomMult"):
             bad_e = [e for e in e_list if e < 1 or (q - 1) % e]
             if bad_e:
@@ -277,9 +288,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 def gen_poly(ctx, d: int, constraints: dict, rng: random.Random) -> Poly:
     """Random polynomial satisfying every requested constraint (verified)."""
-    from .ffield import FieldCtx
-
-    size = ctx.q if isinstance(ctx, FieldCtx) else ctx.size
+    size = ctx.size
     want = {k: bool(constraints.get(k)) for k in CONSTRAINT_KEYS}
     for _ in range(GEN_RETRIES):
         if want["splits_in_k"]:
@@ -468,7 +477,7 @@ def run(config: ExperimentConfig, pool=None) -> list[ResultRow]:
 def _cell_poly(config, ctx, d, trial):
     if config.poly_source == "explicit":
         return poly_from_text(ctx, config.poly_coeffs)
-    rng = random.Random(_row_seed(config.seed, ctx.q if hasattr(ctx, "q") else ctx.size, d, trial))
+    rng = random.Random(_row_seed(config.seed, ctx.size, d, trial))
     return gen_poly(ctx, d, config.constraints, rng)
 
 
@@ -507,14 +516,13 @@ def _run_cell(config, base, ext, psi, d, e, trial, pool):
         if kind == "HomAdd":
             rep = report_homothety_additive(g, e, ext)
             full = sum_additive(g, psi, ext, inner=("pow", n), cap=config.cap, pool=pool)
-            g0 = g.coeff(0)
-            S = full - psi.table()[ext.trace_to_base(ext.embed(g0))]
+            S = full - psi.table()[ext.trace_to_base(g.coeff(0))]
             m = 0
         else:
             chi = MultChar.of_order(base, config.char_m)
             rep = report_homothety_multiplicative(g, chi, e, ext)
             full = sum_multiplicative(g, chi, ext, inner=("pow", n), cap=config.cap, pool=pool)
-            S = full - chi.table()[ext.norm_to_base(ext.embed(g.coeff(0)))]
+            S = full - chi.table()[ext.norm_to_base(g.coeff(0))]
             m = chi.order
         # the classical bound covers the full sum; rows record the sum over
         # the nonzero elements, so allow for the removed x = 0 term
@@ -629,12 +637,12 @@ def check_identity(kind: str, p: int, s: int, r: int, seed: int, trials: int) ->
                 mus = [mu for mu in range(1, base.q) if base.pow_(mu, e) == 1]
                 if kind == "reassembly-add":
                     lhs = sum_additive(g, psi, ext, inner=("pow", n))
-                    rhs = psi.value(ext.trace_to_base(ext.embed(g.coeff(0))))
+                    rhs = psi.value(ext.trace_to_base(g.coeff(0)))
                     rhs += sum(n * fiber_sum_additive(g, psi, ext, mu) for mu in mus)
                 else:
                     chi = MultChar.quadratic(base)
                     lhs = sum_multiplicative(g, chi, ext, inner=("pow", n))
-                    rhs = chi.value(ext.norm_to_base(ext.embed(g.coeff(0))))
+                    rhs = chi.value(ext.norm_to_base(g.coeff(0)))
                     rhs += sum(n * fiber_sum_multiplicative(g, chi, ext, mu) for mu in mus)
                 if abs(lhs - rhs) > tolerance(base.q, r):
                     ok = False

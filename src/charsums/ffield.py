@@ -14,8 +14,11 @@ k[Y]/(m_r)), not rebuilt over F_p, so trace and norm relative to k come
 out as Frobenius sums/products directly.  F_{p^s} (s > 1) is itself the
 degree-s extension of F_p, so its arithmetic and lookup tables come from
 that extension's kernel, with the same packing.  `make_field` and
-`make_ext` share one seeded search for modulus and generator, and return
-one context per argument tuple; a context pickles back into that call.
+`make_ext` share one seeded search for modulus and generator (the
+modulus by `polyring.is_irreducible`), and return one context per
+argument tuple; a context pickles back into that call.  Both contexts
+answer `size` (number of elements) and `p` (characteristic), and k
+embeds in k_r as the identity on packed values.
 """
 
 from __future__ import annotations
@@ -81,105 +84,6 @@ def factorize(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# generic dense polynomial helpers over an "ops" object
-#
-# ops must provide: zero, one, add, sub, neg, mul, inv.  Coefficient lists
-# are ascending, trailing zeros trimmed.  Used to bootstrap modulus search
-# and irreducibility tests both over F_p and over an already-built k.
-# ---------------------------------------------------------------------------
-
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(ops, a, b):
-    if not a or not b:
-        return []
-    out = [ops.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = ops.add(out[i + j], ops.mul(ai, bj))
-    return _ptrim(out)
-
-
-def _pmod(ops, a, m):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        c = a[-1]
-        if c:
-            off = len(a) - 1 - dm
-            for j in range(dm):
-                if m[j]:
-                    a[off + j] = ops.sub(a[off + j], ops.mul(c, m[j]))
-        a.pop()
-    return _ptrim(a)
-
-
-def _pmulmod(ops, a, b, m):
-    return _pmod(ops, _pmul(ops, a, b), m)
-
-
-def _ppowmod(ops, a, e, m):
-    result = [ops.one]
-    base = _pmod(ops, list(a), m)
-    while e:
-        if e & 1:
-            result = _pmulmod(ops, result, base, m)
-        base = _pmulmod(ops, base, base, m)
-        e >>= 1
-    return result
-
-
-def _pgcd(ops, a, b):
-    a, b = list(a), list(b)
-    while b:
-        # make b monic before reducing
-        lead_inv = ops.inv(b[-1])
-        b = [ops.mul(lead_inv, c) for c in b]
-        a, b = b, _pmod(ops, a, b)
-    return a
-
-
-def _irreducible(ops, m, card):
-    """Is monic m irreducible over a field of cardinality `card`?"""
-    deg = len(m) - 1
-    if deg < 1:
-        return False
-    x = [ops.zero, ops.one]
-    # x^(card^deg) must reduce to x mod m
-    t = list(x)
-    for _ in range(deg):
-        t = _ppowmod(ops, t, card, m)
-    if _psub(ops, t, x):
-        return False
-    for ell in factorize(deg):
-        u = list(x)
-        for _ in range(deg // ell):
-            u = _ppowmod(ops, u, card, m)
-        g = _pgcd(ops, m, _psub(ops, u, x))
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-def _psub(ops, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        ai = a[i] if i < len(a) else ops.zero
-        bi = b[i] if i < len(b) else ops.zero
-        out.append(ops.sub(ai, bi))
-    return _ptrim(out)
-
-
-# ---------------------------------------------------------------------------
 # construction: one seeded search, one context per argument tuple
 # ---------------------------------------------------------------------------
 
@@ -201,9 +105,11 @@ def _unit_generator(rng, ctx, size: int) -> int:
 def _extension(base: "FieldCtx", r: int, rng, seed: int) -> "ExtCtx":
     """base[Y]/(m) for the first seeded monic irreducible m of degree r >= 2,
     with the first seeded generator of its unit group."""
+    from .polyring import Poly, is_irreducible  # polyring imports this module
+
     while True:
         coeffs = [rng.randrange(base.q) for _ in range(r)] + [1]
-        if _irreducible(base, coeffs, base.q):
+        if is_irreducible(Poly(base, tuple(coeffs))):
             break
     ctx = ExtCtx(base=base, r=r, modulus_r=tuple(coeffs), generator_r=1, seed=seed)
     object.__setattr__(ctx, "generator_r", _unit_generator(rng, ctx, ctx.size))
@@ -247,12 +153,8 @@ class FieldCtx:
         return tuple(out)
 
     @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+    def size(self) -> int:
+        return self.q
 
     def __reduce__(self):
         return make_field, (self.p, self.s, self.seed)
@@ -366,10 +268,6 @@ class FieldCtx:
             return tab[a]
         return self._ext.trace_to_base(a)
 
-    @property
-    def ops(self):
-        return self
-
     def __repr__(self):
         if self.s == 1:
             return f"F_{self.p}"
@@ -422,6 +320,10 @@ class ExtCtx:
     def size(self) -> int:
         return self.base.q**self.r
 
+    @property
+    def p(self) -> int:
+        return self.base.p
+
     def __reduce__(self):
         return make_ext, (self.base, self.r, self.seed)
 
@@ -440,14 +342,6 @@ class ExtCtx:
             a, d = divmod(a, q)
             out.append(d)
         return tuple(out)
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def embed(self, c: int) -> int:
         """Canonical injection k -> k_r (identity on packed values)."""
@@ -502,10 +396,6 @@ class ExtCtx:
         assert n < self.base.q
         return n
 
-    @property
-    def ops(self):
-        return self
-
     def __repr__(self):
         return f"{self.base!r}[Y]/deg{self.r}"
 
@@ -530,21 +420,19 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
     q = base.q
     flavor = _kops_flavor(base)
 
-    # construction-time generic ops over packed k-ints
-    bops = base.ops
     mod_digits = list(ext.modulus_r)
 
     # reduction rows: Y^(r+i) mod m_r as digit tuples, i = 0..r-2
     red = []
     if r > 1:
-        base_row = [bops.neg(c) for c in mod_digits[:r]]
+        base_row = [base.neg(c) for c in mod_digits[:r]]
         red.append(tuple(base_row))
         prev = list(base_row)
         for _ in range(r - 2):
             nxt = [0] + prev[:-1]
             carry = prev[-1]
             if carry:
-                nxt = [bops.add(nv, bops.mul(carry, rv)) for nv, rv in zip(nxt, base_row)]
+                nxt = [base.add(nv, base.mul(carry, rv)) for nv, rv in zip(nxt, base_row)]
             red.append(tuple(nxt))
             prev = nxt
     red = tuple(red)
@@ -815,8 +703,7 @@ def elem(ctx, value) -> FqElem:
     if isinstance(value, int):
         if isinstance(ctx, FieldCtx) and ctx.s == 1:
             return FqElem(ctx, value % ctx.p)
-        size = ctx.q if isinstance(ctx, FieldCtx) else ctx.size
-        if not 0 <= value < size:
+        if not 0 <= value < ctx.size:
             raise ValueError("packed value out of range for this field")
         return FqElem(ctx, value)
     return FqElem(ctx, ctx.pack(value))
@@ -852,7 +739,7 @@ def elements(fld, part=(0, 1)):
     index, total = part
     if not 0 <= index < total:
         raise ValueError("partition index out of range")
-    n = fld.q if isinstance(fld, FieldCtx) else fld.size
+    n = fld.size
     start = index * n // total
     stop = (index + 1) * n // total
     for v in range(start, stop):

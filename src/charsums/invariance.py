@@ -15,12 +15,8 @@ from dataclasses import dataclass
 
 from .charsum import AdditiveChar
 from .errors import NotInvariant, ZeroPoly
-from .ffield import ExtCtx, FieldCtx
+from .ffield import FieldCtx
 from .polyring import Poly, divrem, squarefree_decomposition
-
-
-def _char_p(ctx) -> int:
-    return ctx.p if isinstance(ctx, FieldCtx) else ctx.base.p
 
 
 def artin_schreier_poly(ctx, q: int) -> Poly:
@@ -89,12 +85,11 @@ def homothety_invariant_pointwise(f: Poly, e: int) -> bool:
     ctx = f.ctx
     base = ctx if isinstance(ctx, FieldCtx) else ctx.base
     for lam in range(1, base.q):
-        scale = base.pow_(lam, e)
-        se = ctx.embed(scale) if isinstance(ctx, ExtCtx) else scale
+        scale = base.pow_(lam, e)  # in k, and so in k_r as the same packed value
         power = 1
         for i, c in enumerate(f.coeffs):
             if i:
-                power = ctx.mul(power, se)
+                power = ctx.mul(power, scale)
             if c and ctx.mul(c, power) != c:
                 return False
     return True

@@ -21,13 +21,9 @@ from .errors import (
     FieldTooLarge,
     ZeroPoly,
 )
-from .ffield import ExtCtx, FieldCtx, FqElem
+from .ffield import ExtCtx, FieldCtx, FqElem, factorize
 
 ROOT_ENUM_CAP = 10**6
-
-
-def _size(fld) -> int:
-    return fld.q if isinstance(fld, FieldCtx) else fld.size
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,7 @@ class Poly:
             elif isinstance(ctx, FieldCtx) and ctx.s == 1:
                 vals.append(c % ctx.p)
             else:
-                if not 0 <= c < _size(ctx):
+                if not 0 <= c < ctx.size:
                     raise ValueError("packed coefficient out of range")
                 vals.append(c)
         while vals and vals[-1] == 0:
@@ -149,25 +145,27 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
+def lift(f: Poly, fld) -> Poly:
+    """f read over fld: f itself, or f over k read in k_r = fld (the
+    inclusion k -> k_r is the identity on packed values)."""
+    if f.ctx == fld:
+        return f
+    if isinstance(fld, ExtCtx) and fld.base == f.ctx:
+        return Poly(fld, f.coeffs)
+    raise CtxMismatch("polynomial not defined over the field or its base")
+
+
 def evaluate(f: Poly, x: FqElem, ext: ExtCtx | None = None) -> FqElem:
     """Horner evaluation; coefficients embed into k_r when ext is given."""
     if ext is not None:
         if x.ctx != ext:
             raise CtxMismatch("point does not belong to the extension")
-        if f.ctx == ext:
-            coeffs = f.coeffs
-        elif f.ctx == ext.base:
-            coeffs = tuple(ext.embed(c) for c in f.coeffs)
-        else:
-            raise CtxMismatch("polynomial not defined over the extension or its base")
-        fld = ext
-    else:
-        if x.ctx != f.ctx:
-            raise CtxMismatch("point from another field")
-        coeffs = f.coeffs
-        fld = f.ctx
+        f = lift(f, ext)
+    elif x.ctx != f.ctx:
+        raise CtxMismatch("point from another field")
+    fld = f.ctx
     acc = 0
-    for c in reversed(coeffs):
+    for c in reversed(f.coeffs):
         acc = fld.add(fld.mul(acc, x.val), c)
     return FqElem(fld, acc)
 
@@ -211,7 +209,7 @@ def gcd(f: Poly, g: Poly) -> Poly:
 
 def derivative(f: Poly) -> Poly:
     ops = f.ctx
-    p = f.ctx.p if isinstance(f.ctx, FieldCtx) else f.ctx.base.p
+    p = ops.p
     out = []
     for i in range(1, len(f.coeffs)):
         k = i % p  # integer scalars act through the prime subfield
@@ -228,6 +226,35 @@ def compose(f: Poly, g: Poly) -> Poly:
     for c in reversed(f.coeffs):
         acc = acc * g + Poly(f.ctx, (c,) if c else ())
     return acc
+
+
+def _powmod(a: Poly, e: int, m: Poly) -> Poly:
+    """a^e mod m by square-and-multiply."""
+    result = Poly(m.ctx, (1,))
+    a = divrem(a, m)[1]
+    while e:
+        if e & 1:
+            result = divrem(result * a, m)[1]
+        a = divrem(a * a, m)[1]
+        e >>= 1
+    return result
+
+
+def is_irreducible(m: Poly) -> bool:
+    """Rabin's test over k = m.ctx with q elements: m of degree n >= 1 is
+    irreducible iff x^(q^n) = x mod m and gcd(x^(q^(n/l)) - x, m) = 1 for
+    every prime l dividing n."""
+    n = m.degree
+    if n < 1:
+        return False
+    q = m.ctx.size
+    x = divrem(Poly.x(m.ctx), m)[1]  # x mod m, a constant in degree 1
+    frob = [x]  # frob[i] = x^(q^i) mod m
+    for _ in range(n):
+        frob.append(_powmod(frob[-1], q, m))
+    if frob[n] != x:
+        return False
+    return all(gcd(m, frob[n // ell] - x).degree == 0 for ell in factorize(n))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +290,7 @@ def discriminant(g: Poly) -> FqElem:
     d = g.degree
     if d < 2:
         raise ValueError("discriminant needs degree >= 2")
-    p = g.ctx.p if isinstance(g.ctx, FieldCtx) else g.ctx.base.p
-    if d % p == 0:
+    if d % g.ctx.p == 0:
         raise DegenerateDerivative("degree divisible by the characteristic")
     ops = g.ctx
     gp = derivative(g)
@@ -331,10 +357,7 @@ def is_squarefree(g: Poly) -> bool:
 def _pth_root_poly(f: Poly) -> Poly:
     """Inverse of x -> x^p on polynomials: exponents /p, coefficients^(q/p)."""
     ctx = f.ctx
-    if isinstance(ctx, FieldCtx):
-        p, q = ctx.p, ctx.q
-    else:
-        p, q = ctx.base.p, ctx.size
+    p, q = ctx.p, ctx.size
     out = []
     for i, c in enumerate(f.coeffs):
         if i % p == 0:
@@ -359,7 +382,7 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     def run(h: Poly, outer: int):
         if h.degree <= 0:
             return
-        p = h.ctx.p if isinstance(h.ctx, FieldCtx) else h.ctx.base.p
+        p = h.ctx.p
         hp = derivative(h)
         if hp.is_zero:
             run(_pth_root_poly(h), outer * p)
@@ -394,15 +417,10 @@ def root_structure(g: Poly, fld) -> RootStructure:
     """Exhaustive root search with multiplicities by repeated division."""
     if g.is_zero:
         raise ZeroPoly("roots of the zero polynomial")
-    n = _size(fld)
+    n = fld.size
     if n > ROOT_ENUM_CAP:
         raise FieldTooLarge(f"root enumeration capped at 10^6 elements, got {n}")
-    if isinstance(fld, ExtCtx) and g.ctx == fld.base:
-        work = Poly(fld, tuple(fld.embed(c) for c in g.coeffs))
-    elif g.ctx == fld:
-        work = g
-    else:
-        raise CtxMismatch("polynomial not defined over the requested field")
+    work = lift(g, fld)
     roots: list[FqElem] = []
     mults: list[int] = []
     total = 0
@@ -507,12 +525,22 @@ def poly_to_text(g: Poly) -> str:
 
 
 def coeffs_from_text(text: str) -> list:
-    """Parse coefficient text: comma-separated ints, or one [d_0 d_1 ...]
-    digit list per coefficient.  Raises ValueError on a non-integer token."""
-    text = text.strip()
-    if "[" in text:
-        return [[int(t) for t in m.group(1).split()] for m in re.finditer(r"\[([^\]]*)\]", text)]
-    return [int(t) for t in text.split(",")] if text else []
+    """Parse coefficient text in full: comma-separated ints, or comma-separated
+    non-empty [d_0 d_1 ...] digit groups, never a mix; blank text is [].
+    Raises ValueError on anything else."""
+    if not text.strip():
+        return []
+    items = [t.strip() for t in text.split(",")]
+    if "[" not in text:
+        return [int(t) for t in items]
+    groups = []
+    for t in items:
+        m = re.fullmatch(r"\[([^\[\]]*)\]", t)
+        digits = [int(d) for d in m.group(1).split()] if m else []
+        if not digits:
+            raise ValueError(f"expected a non-empty [d_0 d_1 ...] group, got {t!r}")
+        groups.append(digits)
+    return groups
 
 
 def poly_from_text(ctx, text: str) -> Poly:
@@ -523,7 +551,7 @@ def poly_from_text(ctx, text: str) -> Poly:
 
 
 def random_poly(ctx, d: int, rng: random.Random, monic: bool = False) -> Poly:
-    n = _size(ctx)
+    n = ctx.size
     coeffs = [rng.randrange(n) for _ in range(d)]
     coeffs.append(1 if monic else rng.randrange(1, n))
     return Poly(ctx, tuple(coeffs))

@@ -308,7 +308,7 @@ def test_run_non_object_config_with_override_is_one_error_line(tmp_path, capsys)
         ({"kind": "HomAdd", "p": 7, "r": [2, 3], "e": [3],
           "poly": {"source": "explicit", "coeffs": "1,49,1"}}, "a_1 = 49"),
         ({"kind": "HomAdd", "p": 7, "r": [2], "e": [3],
-          "poly": {"source": "explicit", "coeffs": "[1 7],1"}}, "a_0 = [1 7]"),
+          "poly": {"source": "explicit", "coeffs": "[1 7],[1]"}}, "a_0 = [1 7]"),
     ],
     ids=["F9-int", "F9-negative", "F9-digits", "HomAdd-int", "HomAdd-digit"],
 )
@@ -328,3 +328,58 @@ def test_parse_config_reduces_explicit_integers_over_prime_fields():
     config = parse_config(cfg(poly={"source": "explicit", "coeffs": "100,-1,0,1"}))
     rows = run(config)
     assert rows and all(row.poly == "2,6,0,1" for row in rows)
+
+
+@pytest.mark.parametrize("d", [[0], [-2], [3, 0]], ids=["zero", "negative", "one-of-two"])
+def test_parse_config_rejects_degrees_below_one(tmp_path, capsys, d):
+    with pytest.raises(ConfigInvalid) as info:
+        parse_config(cfg(d=d))
+    assert info.value.messages == ["d: every degree must be >= 1"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg(d=d)))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["config error: d: every degree must be >= 1"]
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"kind": "WeilAdd", "p": 3, "s": 2, "coeffs": "[1 0],[0 1],5"}, "expected"),
+        ({"coeffs": "1,[2]"}, "expected"),
+        ({"coeffs": "[1 2"}, "expected"),
+        ({"coeffs": "[],[]"}, "expected"),
+        ({"kind": "WeilAdd", "coeffs": "[],[]"}, "expected"),
+        ({"coeffs": "0,0,0"}, "every coefficient is zero"),
+        ({"coeffs": "7,14,-21"}, "every coefficient is zero"),
+        ({"p": 3, "s": 2, "coeffs": "[0],[0 0]"}, "every coefficient is zero"),
+        ({"kind": "HomAdd", "e": [3], "coeffs": "0, 0"}, "every coefficient is zero"),
+    ],
+    ids=["F9-trailing-int", "int-then-group", "open-group", "empty-groups",
+         "WeilAdd-empty-groups", "zeros", "zero-mod-p", "F9-zero-groups", "HomAdd-zeros"],
+)
+def test_parse_config_rejects_partial_or_zero_coefficient_text(tmp_path, capsys, over, message):
+    data = cfg(**{k: v for k, v in over.items() if k != "coeffs"})
+    data["poly"] = {"source": "explicit", "coeffs": over["coeffs"]}
+    with pytest.raises(ConfigInvalid) as info:
+        parse_config(data)
+    assert len(info.value.messages) == 1 and message in info.value.messages[0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: poly.coeffs: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_parse_config_rejects_huge_field_and_level_without_computing_them():
+    # p^s and q^r with exponents this large would not finish
+    with pytest.raises(ConfigInvalid) as info:
+        parse_config(cfg(s=2**40))
+    assert info.value.messages == ["s: p^s must be below 2^63"]
+    hom = cfg(kind="HomAdd", e=[3], r=[10**12], poly={"source": "explicit", "coeffs": "1,1"})
+    with pytest.raises(ConfigInvalid) as info:
+        parse_config(hom)
+    assert [m.split(":")[0] for m in info.value.messages] == ["r"]

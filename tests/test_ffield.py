@@ -225,6 +225,14 @@ def test_flavors_agree_on_shared_sizes():
     assert norm(x, e).val == e._kops.enorm(e.unpack(12345))
 
 
+def test_both_contexts_answer_size_and_characteristic():
+    for k in (make_field(7, 1), make_field(3, 2), make_field(2, 4, seed=1)):
+        assert k.size == k.q
+        for r in (1, 2, 3):
+            ext = make_ext(k, r)
+            assert ext.p == k.p and ext.size == k.q**r
+
+
 def test_elem_helper():
     f7 = make_field(7, 1)
     assert elem(f7, -1).val == 6

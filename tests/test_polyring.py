@@ -1,14 +1,24 @@
 """Polynomial ring: division, resultants, discriminants, shifts, roots."""
 
 import random
+from itertools import product
 
 import pytest
 
-from charsums import FqElem, make_ext, make_field
-from charsums.errors import DegenerateDerivative, DivByZeroPoly, FieldTooLarge, ZeroPoly
+from charsums import AdditiveChar, FqElem, make_ext, make_field, sum_additive
+from charsums.charsum import weil_descent_check
+from charsums.errors import (
+    CtxMismatch,
+    DegenerateDerivative,
+    DivByZeroPoly,
+    FieldTooLarge,
+    ZeroPoly,
+)
+from charsums.ffield import factorize
 from charsums.polyring import (
     Parity,
     Poly,
+    coeffs_from_text,
     compose,
     derivative,
     discriminant,
@@ -16,7 +26,9 @@ from charsums.polyring import (
     evaluate,
     gcd,
     interpolate,
+    is_irreducible,
     is_squarefree,
+    lift,
     parity_check,
     poly_from_text,
     poly_to_text,
@@ -336,3 +348,96 @@ def test_gcd_and_derivative_basics():
     g = Poly.make(F7, (6, 1))  # x - 1
     assert gcd(f, g) == g.monic()
     assert derivative(Poly.make(F5, (1, 0, 0, 0, 0, 1))).is_zero  # d/dx (x^5+1) = 0
+
+
+@pytest.mark.parametrize(
+    "text, parsed",
+    [
+        ("12,0,0,1", [12, 0, 0, 1]),
+        (" 1, -2 ,3 ", [1, -2, 3]),
+        ("[1 0], [0 1]", [[1, 0], [0, 1]]),
+        ("", []),
+    ],
+)
+def test_coeffs_from_text_accepts_ints_or_groups(text, parsed):
+    assert coeffs_from_text(text) == parsed
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[1 0],[0 1],5", "1,[2]", "[1 2", "[],[]", "[ ]", "[1][2]", "1,,2", "1]", "[1 x]"],
+)
+def test_coeffs_from_text_rejects_partial_or_mixed_text(text):
+    # each of these used to parse to a prefix or a subset of its groups
+    with pytest.raises(ValueError):
+        coeffs_from_text(text)
+
+
+def _gauss_count(q: int, n: int) -> int:
+    """Monic irreducibles of degree n over F_q: (1/n) sum_{d | n} mu(d) q^(n/d)."""
+    total = 0
+    for d in range(1, n + 1):
+        if n % d == 0:
+            primes = factorize(d)
+            if all(d % (ell * ell) for ell in primes):  # mu(d) != 0
+                total += (-1) ** len(primes) * q ** (n // d)
+    return total // n
+
+
+@pytest.mark.parametrize(
+    "build, max_n",
+    [
+        (lambda: make_field(2, 1), 6),
+        (lambda: make_field(3, 1), 4),
+        (lambda: make_field(2, 2), 3),
+        (lambda: make_ext(make_field(2, 1), 2), 3),
+        (lambda: make_field(5, 1), 3),
+        (lambda: make_field(3, 2), 2),
+    ],
+    ids=["F2", "F3", "F4", "F4-as-extension", "F5", "F9"],
+)
+def test_is_irreducible_counts_match_gauss(build, max_n):
+    ctx = build()
+    q = ctx.size
+    for n in range(1, max_n + 1):
+        count = sum(
+            is_irreducible(Poly(ctx, low + (1,))) for low in product(range(q), repeat=n)
+        )
+        assert count == _gauss_count(q, n), n
+
+
+def test_is_irreducible_degree_one_and_below():
+    for c in range(7):
+        assert is_irreducible(Poly.make(F7, (c, 1)))
+        assert is_irreducible(Poly.make(F7, (c, 3)))  # not monic
+    assert not is_irreducible(Poly.make(F7, (3,)))
+    assert not is_irreducible(Poly.zero(F7))
+    assert is_irreducible(Poly.make(F7, (1, 0, 1)))  # -1 is not a square mod 7
+    assert not is_irreducible(Poly.make(F7, (3, 0, 1)))  # -3 = 4 = 2^2
+
+
+def test_lift_reads_base_polynomials_in_the_extension():
+    e3 = make_ext(F7, 3)
+    f = Poly.make(F7, (3, 0, 1))
+    assert lift(f, F7) is f
+    assert lift(f, e3) == Poly(e3, f.coeffs)
+    h = lift(f, e3)
+    assert lift(h, e3) is h
+    for fld in (F13, make_ext(F13, 2), make_ext(F9, 2)):
+        with pytest.raises(CtxMismatch):
+            lift(f, fld)
+    with pytest.raises(CtxMismatch):
+        lift(h, F7)  # no way down from k_r to k
+
+
+def test_callers_of_lift_keep_their_ctx_mismatch():
+    e2 = make_ext(F7, 2)
+    foreign = Poly.make(F13, (1, 0, 1))
+    with pytest.raises(CtxMismatch):
+        evaluate(foreign, FqElem(e2, 3), ext=e2)
+    with pytest.raises(CtxMismatch):
+        root_structure(foreign, e2)
+    with pytest.raises(CtxMismatch):
+        sum_additive(foreign, AdditiveChar.canonical(F7), e2)
+    with pytest.raises(CtxMismatch):
+        weil_descent_check(foreign, e2, [FqElem(e2, 1), FqElem(e2, 7)], trials=1)
