@@ -2,8 +2,13 @@
 
 Every sum is sum_v c_v * chi(v) over v in k, where c_v counts the
 elements of k_r (or of a norm fiber) whose trace or norm index is v.
-Each index-range partition of k_r yields exact integer counts, which are
-added exactly and evaluated once in fixed order, so serial runs and
+The counts come from one of two walks.  When r > 1 and every coefficient
+of f lies in k, the summand is constant on each Frobenius orbit of k_r
+over k, so the orbit walk visits one element per orbit (a necklace of
+its coordinates in a normal basis) and adds the orbit's size; otherwise
+the full walk visits every element.  Both give the same exact integer
+counts.  Each index-range partition yields exact integer counts, which
+are added exactly and evaluated once in fixed order, so serial runs and
 worker pools produce bit-identical values.  A pool task carries the
 extension context itself; it pickles back into its `make_ext` call, so
 each worker builds a field once and reuses it for every later task.
@@ -18,12 +23,12 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice, product, repeat
 
 from .errors import CtxMismatch, FieldTooLarge, NotABasis, ZeroMu
 # make_ext and make_field are unused here but stay importable from this
 # module: perfbench/tracer.py rebinds them here to time field construction
-from .ffield import ExtCtx, FieldCtx, FqElem, make_ext, make_field
+from .ffield import ExtCtx, FieldCtx, FqElem, make_ext, make_field, rank_over
 from .polyring import Poly, evaluate, lift
 
 DEFAULT_CAP = 1 << 24
@@ -141,12 +146,58 @@ def _part_ranges(n: int) -> list[tuple[int, int]]:
     return [(i * n // total, (i + 1) * n // total) for i in range(total)]
 
 
+def _necklace_count(q: int, r: int) -> int:
+    """The number of Frobenius orbits of k_r: by Burnside's lemma,
+    (1/r) sum over i < r of q^gcd(i, r), that is (1/r) sum over d | r of
+    phi(d) q^(r/d)."""
+    return sum(q ** math.gcd(i, r) for i in range(r)) // r
+
+
+def _necklaces(q: int, r: int, word=None, period: int = 1):
+    """Necklaces of length r over range(q) as (least rotation, period), in
+    lexicographic order from `word` (a necklace of that period; default
+    0^r) on, by the iterative Fredricksen-Kessler-Maiorana algorithm
+    (Ruskey, Savage and Wang, "Generating necklaces", J. Algorithms 1992).
+
+    It visits every prenecklace a_1..a_r; one whose longest Lyndon prefix
+    has length p is a necklace of period p when p divides r.
+    """
+    a = [0, *(word or (0,) * r)]  # a[0] is a sentinel below every digit
+    p, top = period, q - 1
+    while True:
+        if r % p == 0:
+            yield tuple(a[1:]), p
+        k = r
+        while a[k] == top:
+            k -= 1
+        if k == 0:
+            return
+        a[k] += 1
+        for j in range(k + 1, r + 1):
+            a[j] = a[j - k]
+        p = k
+
+
+def _necklace_spans(q: int, r: int, parts: int) -> list[tuple[tuple, int]]:
+    """Split the necklace stream into `parts` index ranges, each given as
+    (its first necklace and period, its length)."""
+    total = _necklace_count(q, r)
+    bounds = [i * total // parts for i in range(parts + 1)]
+    stream = _necklaces(q, r)
+    state, pos, spans = next(stream), 0, []
+    for a, b in zip(bounds, bounds[1:]):
+        if a > pos:
+            state, pos = next(islice(stream, a - pos - 1, None)), a
+        spans.append((state, b - a))
+    return spans
+
+
 def _inner_fn(ko, inner):
     """Exact evaluation plan for the summation variable.
 
     None: identity.  ("frobsub",): x^q - x.  ("pow", n): x^n.  All plans
     are exact field arithmetic, so any plan equals evaluating the
-    corresponding composed polynomial.
+    corresponding composed polynomial.  All commute with Frobenius.
     """
     if inner is None:
         return lambda x: x
@@ -160,40 +211,77 @@ def _inner_fn(ko, inner):
     raise ValueError(f"unknown inner plan {inner!r}")
 
 
-def _count_part(task) -> list[int]:
-    """Counts of Tr f(x) ("S") or N f(x) ("U") over a partition of k_r, or
-    of its fiber N(x) = mu, or of Tr f(t) + u Tr(t) for all u in k ("D")."""
-    ext, mode, coeffs, inner, mu, start, stop = task
+def _tally(ext, mode, coeffs, inner, mu, points) -> list[int]:
+    """counts[v] += w for every (x, w) in points, where v is Tr f(x) ("S")
+    or N f(x) ("U") with f applied after the inner plan, restricted to the
+    fiber N(x) = mu when mu is given; or, for "D", v = Tr f(t) + u Tr(t)
+    for every u in k."""
     ko = ext._kops
     q = ext.base.q
     emul, eadd, etr, enorm = ko.emul, ko.eadd, ko.etr, ko.enorm
     lead, *rest = reversed(coeffs)
     counts = [0] * q
-    xs = islice(product(range(q), repeat=ext.r), start, stop)
 
     if mode == "D":
         kadd, kmul = ko.kadd, ko.kmul
-        for t in xs:
+        for t, w in points:
             acc = lead
             for c in rest:
                 acc = eadd(emul(acc, t), c)
             a = etr(acc)
             tau = etr(t)
             for u in range(q):
-                counts[kadd(a, kmul(u, tau))] += 1
+                counts[kadd(a, kmul(u, tau))] += w
         return counts
 
     index = etr if mode == "S" else enorm
     inner_f = _inner_fn(ko, inner)
     if mu is not None:
-        xs = (x for x in xs if enorm(x) == mu)
-    for x in xs:
+        points = ((x, w) for x, w in points if enorm(x) == mu)
+    for x, w in points:
         t = inner_f(x)
         acc = lead
         for c in rest:
             acc = eadd(emul(acc, t), c)
-        counts[index(acc)] += 1
+        counts[index(acc)] += w
     return counts
+
+
+def _count_part(task) -> list[int]:
+    """The full walk: every element of an index range of k_r, weight 1.
+
+    It runs for polynomials with a coefficient outside k, and at r = 1.
+    """
+    ext, mode, coeffs, inner, mu, start, stop = task
+    xs = islice(product(range(ext.base.q), repeat=ext.r), start, stop)
+    return _tally(ext, mode, coeffs, inner, mu, zip(xs, repeat(1)))
+
+
+def _count_orbits(task) -> list[int]:
+    """The orbit walk: one element per Frobenius orbit, weighted by the
+    orbit's size, over `count` necklaces from `start` on.
+
+    For f over k, Tr f(x) and N f(x) are constant on the orbit of x, and
+    so are Tr f(t) + u Tr(t) and the fiber condition N(x) = mu; every
+    inner plan commutes with Frobenius.  In the normal basis Frobenius
+    rotates coordinates, so the orbits are the necklaces of length r over
+    k and an orbit's size is its necklace's period: the weighted counts
+    equal the full walk's exactly.
+    """
+    ext, mode, coeffs, inner, mu, start, count = task
+    rows = ext._normal_rows
+    first, rest = rows[0], rows[1:]
+    eadd = ext._kops.eadd
+
+    def points():
+        for word, period in islice(_necklaces(ext.base.q, ext.r, *start), count):
+            x = first[word[0]]
+            for row, c in zip(rest, word[1:]):
+                if c:
+                    x = eadd(x, row[c])
+            yield x, period
+
+    return _tally(ext, mode, coeffs, inner, mu, points())
 
 
 def _csum(terms) -> complex:
@@ -203,7 +291,13 @@ def _csum(terms) -> complex:
 
 
 def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex:
-    """Check, count every term exactly, then evaluate sum_v c_v * char(v)."""
+    """Check, count every term exactly, then evaluate sum_v c_v * char(v).
+
+    For r > 1 and f over k the counts come from the orbit walk
+    (`_count_orbits`), otherwise from the full walk (`_count_part`); both
+    give the same exact histogram.  A pool splits either walk into index
+    ranges when q^r >= _PART_THRESHOLD.
+    """
     if mu is not None:
         mu = mu.val if isinstance(mu, FqElem) else mu
         if mu == 0:
@@ -215,9 +309,16 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
     if terms > cap:
         raise FieldTooLarge(f"enumeration of {terms} terms exceeds cap {cap}")
     coeffs = _ext_coeff_tuples(f, ext)
-    tasks = [(ext, mode, coeffs, inner, mu, a, b) for a, b in _part_ranges(n)]
-    mapper = pool.map if pool is not None and len(tasks) > 1 else map
-    counts = [sum(col) for col in zip(*mapper(_count_part, tasks))]
+    ranges = _part_ranges(n)
+    parallel = pool is not None and len(ranges) > 1
+    if ext.r > 1 and not any(any(c[1:]) for c in coeffs):  # f lies over k
+        worker = _count_orbits
+        ranges = _necklace_spans(q, ext.r, len(ranges) if parallel else 1)
+    else:
+        worker = _count_part
+    tasks = [(ext, mode, coeffs, inner, mu, a, b) for a, b in ranges]
+    mapper = pool.map if parallel else map
+    counts = [sum(col) for col in zip(*mapper(worker, tasks))]
     expected = terms if mu is None else (n - 1) // (q - 1)
     if sum(counts) != expected:
         raise RuntimeError(f"counted {sum(counts)} terms, expected {expected}")
@@ -355,23 +456,7 @@ def weil_descent_check(
     r = ext.r
     if len(basis) != r or any(b.ctx != ext for b in basis):
         raise NotABasis("need r elements of the extension")
-    # rank over k of the digit matrix
-    rows = [list(ext.unpack(b.val)) for b in basis]
-    mat = [row[:] for row in rows]
-    rank = 0
-    for col in range(r):
-        piv = next((i for i in range(rank, r) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = base.inv(mat[rank][col])
-        mat[rank] = [base.mul(inv, v) for v in mat[rank]]
-        for i in range(r):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [base.sub(a, base.mul(f, b)) for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    if rank < r:
+    if rank_over(base, [ext.unpack(b.val) for b in basis]) < r:
         raise NotABasis("elements are linearly dependent over k")
 
     # conjugates of the basis and of the coefficients of g

@@ -228,6 +228,8 @@ class FieldCtx:
         return self._ext.add(a, b)
 
     def sub(self, a: int, b: int) -> int:
+        if self.s == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
@@ -352,6 +354,35 @@ class ExtCtx:
     def _kops(self):
         return _build_kops(self)
 
+    # -- normal basis -------------------------------------------------------
+    @cached_property
+    def normal_element(self) -> int:
+        """The least packed alpha whose conjugates alpha, alpha^q, ...,
+        alpha^(q^(r-1)) are linearly independent over k (one exists by the
+        normal basis theorem).  Found by a plain scan, so it is the same in
+        every process."""
+        efrob = self._kops.efrob
+        for a in range(1, self.size):
+            conj = [self.unpack(a)]
+            for _ in range(self.r - 1):
+                conj.append(efrob(conj[-1]))
+            if rank_over(self.base, conj) == self.r:
+                return a
+        raise AssertionError("no normal element")  # impossible for a field
+
+    @cached_property
+    def _normal_rows(self):
+        # rows[i][c] = c * alpha^(q^i) as digit tuples, for c in k: the
+        # element with normal coordinates (c_0..c_{r-1}) is the sum of
+        # rows[i][c_i], and Frobenius rotates those coordinates
+        kmul, efrob = self._kops.kmul, self._kops.efrob
+        beta = self.unpack(self.normal_element)
+        rows = []
+        for _ in range(self.r):
+            rows.append(tuple(tuple(kmul(c, d) for d in beta) for c in range(self.base.q)))
+            beta = efrob(beta)
+        return tuple(rows)
+
     # -- arithmetic on packed ints ----------------------------------------
     def add(self, a: int, b: int) -> int:
         k = self._kops
@@ -398,6 +429,26 @@ class ExtCtx:
 
     def __repr__(self):
         return f"{self.base!r}[Y]/deg{self.r}"
+
+
+def rank_over(base: FieldCtx, rows) -> int:
+    """Rank over base of the digit vectors `rows`, by Gauss-Jordan elimination."""
+    mat = [list(row) for row in rows]
+    n, cols = len(mat), len(mat[0]) if mat else 0
+    rank = 0
+    for col in range(cols):
+        piv = next((i for i in range(rank, n) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = base.inv(mat[rank][col])
+        mat[rank] = [base.mul(inv, v) for v in mat[rank]]
+        for i in range(n):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [base.sub(a, base.mul(f, b)) for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
 
 
 def _kops_flavor(base: FieldCtx) -> str:

@@ -180,12 +180,14 @@ def divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     dg = g.degree
     if f.degree < dg:
         return Poly(f.ctx, ()), f
-    inv_lead = ops.inv(g.lead)
+    # a monic divisor needs no inversion and no scaling
+    inv_lead = None if g.lead == 1 else ops.inv(g.lead)
     quot = [0] * (f.degree - dg + 1)
     for i in range(f.degree - dg, -1, -1):
         c = rem[i + dg]
         if c:
-            c = ops.mul(c, inv_lead)
+            if inv_lead is not None:
+                c = ops.mul(c, inv_lead)
             quot[i] = c
             for j, gz in enumerate(g.coeffs):
                 if gz:
@@ -545,9 +547,18 @@ def coeffs_from_text(text: str) -> list:
 
 def poly_from_text(ctx, text: str) -> Poly:
     """Integers are reduced mod p over a prime field; elsewhere they are
-    packed values, and one outside the field raises ValueError."""
-    coeffs = [ctx.pack(c) if isinstance(c, list) else c for c in coeffs_from_text(text)]
-    return Poly.make(ctx, coeffs)
+    packed values, and one outside the field raises ValueError.  A digit
+    group lists at most s digits in [0, p) over F_{p^s}, or at most r
+    digits in [0, q) over k_r; any other group raises ValueError."""
+    n_digits, base = (ctx.r, ctx.base.q) if isinstance(ctx, ExtCtx) else (ctx.s, ctx.p)
+    coeffs = coeffs_from_text(text)
+    for i, c in enumerate(coeffs):
+        if isinstance(c, list) and (len(c) > n_digits or not all(0 <= d < base for d in c)):
+            raise ValueError(
+                f"a_{i} = [{' '.join(map(str, c))}] needs at most {n_digits} digits, "
+                f"each in [0, {base})"
+            )
+    return Poly.make(ctx, [ctx.pack(c) if isinstance(c, list) else c for c in coeffs])
 
 
 def random_poly(ctx, d: int, rng: random.Random, monic: bool = False) -> Poly:

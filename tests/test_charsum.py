@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -10,6 +11,12 @@ from charsums import FqElem, make_ext, make_field
 from charsums.charsum import (
     AdditiveChar,
     MultChar,
+    _count_orbits,
+    _count_part,
+    _ext_coeff_tuples,
+    _necklace_count,
+    _necklace_spans,
+    _necklaces,
     _part_ranges,
     counting_identity_holds,
     double_sum_check,
@@ -281,14 +288,118 @@ def test_pool_and_serial_agree_bitwise():
     assert e7.size >= 1 << 14
     h = Poly.make(f4, (2, 1, 0, 1))
     psi4, chi4 = AdditiveChar.canonical(f4), MultChar.of_order(f4, 3)
+    # a coefficient outside k (packed 5 has digit 1 at Y^1) keeps the full walk
+    h7 = Poly.make(e7, (2, 5, 1))
     calls = [
         lambda pool: sum_additive(g, psi, e4, inner=("frobsub",), pool=pool),
         lambda pool: sum_multiplicative(h, chi4, e7, pool=pool),
         lambda pool: fiber_sum_additive(h, psi4, e7, 2, pool=pool),
         lambda pool: fiber_sum_multiplicative(h, chi4, e7, 3, pool=pool),
         lambda pool: double_sum_check(h, psi4, e7, pool=pool),
+        lambda pool: sum_additive(h7, psi4, e7, inner=("pow", 3), pool=pool),
     ]
     serial = [call(None) for call in calls]
     with ProcessPoolExecutor(max_workers=4) as pool:
         parallel = [call(pool) for call in calls]
     assert serial == parallel
+
+
+# ---------------------------------------------------------------------------
+# the orbit walk
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 13])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_necklaces_are_least_rotations_counted_by_burnside(q, r):
+    def phi(d):
+        return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+
+    count = sum(phi(d) * q ** (r // d) for d in range(1, r + 1) if r % d == 0) // r
+    assert _necklace_count(q, r) == count
+    words = list(_necklaces(q, r))
+    assert len(words) == count
+    assert sum(period for _, period in words) == q**r
+    assert all(len(w) == r and 0 <= min(w) and max(w) < q for w, _ in words)
+    assert all(a < b for (a, _), (b, _) in zip(words, words[1:]))  # so distinct
+    for word, period in words:
+        twice = word + word
+        rotations = [twice[i:i + r] for i in range(1, r + 1)]
+        assert word == min(rotations)  # its own least rotation
+        assert period == rotations.index(word) + 1
+
+
+@pytest.mark.parametrize("q, r", [(2, 5), (3, 4), (13, 3)])
+@pytest.mark.parametrize("parts", [1, 3, 16])
+def test_necklace_spans_split_the_stream_in_order(q, r, parts):
+    spans = _necklace_spans(q, r, parts)
+    assert len(spans) == parts
+    joined = [w for start, n in spans for w in islice(_necklaces(q, r, *start), n)]
+    assert joined == list(_necklaces(q, r))
+
+
+# (p, s, r): the table flavour on a prime and on a composite base, r = 2..5
+ORBIT_FIELDS = [(13, 1, 2), (13, 1, 3), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 1, 5)]
+# (mode, inner plan, fiber): S, U, D and both fiber modes
+ORBIT_CELLS = [
+    ("S", None, False),
+    ("S", ("frobsub",), False),
+    ("S", ("pow", 3), False),
+    ("U", None, False),
+    ("U", ("frobsub",), False),
+    ("U", ("pow", 3), False),
+    ("D", None, False),
+    ("S", None, True),
+    ("U", None, True),
+]
+
+
+def _orbit_and_full_counts(ext, mode, g, inner, mu, parts=3):
+    coeffs = _ext_coeff_tuples(g, ext)
+    full = _count_part((ext, mode, coeffs, inner, mu, 0, ext.size))
+    spans = _necklace_spans(ext.base.q, ext.r, parts)
+    orbit = [sum(col) for col in zip(*(
+        _count_orbits((ext, mode, coeffs, inner, mu, start, n)) for start, n in spans
+    ))]
+    return orbit, full
+
+
+@pytest.mark.parametrize("p, s, r", ORBIT_FIELDS)
+@pytest.mark.parametrize("mode, inner, fiber", ORBIT_CELLS)
+def test_orbit_walk_equals_full_walk(p, s, r, mode, inner, fiber):
+    base = make_field(p, s, seed=0)
+    ext = make_ext(base, r, seed=0)
+    g = random_poly(base, 3, random.Random(p * 100 + r))
+    mu = base.generator if fiber else None
+    orbit, full = _orbit_and_full_counts(ext, mode, g, inner, mu)
+    assert orbit == full
+
+
+def test_orbit_walk_equals_full_walk_mod_p_flavour():
+    # the smallest prime base above ffield.TABLE_CAP: F_1031, r = 2
+    base = make_field(1031, 1)
+    ext = make_ext(base, 2)
+    g = Poly.make(base, (5, 3))
+    orbit, full = _orbit_and_full_counts(ext, "S", g, None, None)
+    assert orbit == full
+
+
+def test_enumerate_takes_the_orbit_walk_exactly_for_f_over_k(monkeypatch):
+    import charsums.charsum as cs
+
+    seen = []
+    for name in ("_count_part", "_count_orbits"):
+        fn = getattr(cs, name)
+        monkeypatch.setattr(cs, name, lambda task, fn=fn, name=name: seen.append(name) or fn(task))
+    psi = AdditiveChar.canonical(F7)
+    e2 = make_ext(F7, 2)
+    g = Poly.make(F7, (1, 2, 3))
+    cases = [
+        (g, make_ext(F7, 1), "_count_part"),  # r = 1
+        (g, e2, "_count_orbits"),
+        (Poly.make(e2, (1, 9, 3)), e2, "_count_part"),  # 9 = 2 + Y lies outside k
+    ]
+    for f, ext, walk in cases:
+        seen.clear()
+        sum_additive(f, psi, ext)
+        assert set(seen) == {walk}

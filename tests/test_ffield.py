@@ -18,7 +18,7 @@ from charsums import (
     trace,
 )
 from charsums.errors import CtxMismatch, NotPrime, Overflow, ZeroElement
-from charsums.ffield import _kops_flavor
+from charsums.ffield import _kops_flavor, rank_over
 
 
 def test_prime_field_has_no_modulus():
@@ -309,3 +309,48 @@ def test_ext_pow_and_inv_agree_with_repeated_mul(p, s, r):
         ext.inv(0)
     with pytest.raises(ZeroElement):
         ext.pow_(0, -2)
+
+
+@pytest.mark.parametrize("p, s, r", [(13, 1, 3), (2, 2, 5), (3, 1, 6), (2, 1, 10), (1031, 1, 2)])
+def test_normal_element_spans_k_r_with_its_conjugates(p, s, r):
+    ext = make_ext(make_field(p, s, seed=0), r, seed=0)
+    conj = [ext.normal_element]
+    for _ in range(r - 1):
+        conj.append(ext.frobenius(conj[-1]))
+    assert rank_over(ext.base, [ext.unpack(c) for c in conj]) == r
+    # the least such element: every smaller packed value fails the rank test
+    for a in range(1, ext.normal_element):
+        others = [a]
+        for _ in range(r - 1):
+            others.append(ext.frobenius(others[-1]))
+        assert rank_over(ext.base, [ext.unpack(c) for c in others]) < r
+    # rows[i][c] = c * alpha^(q^i)
+    rows = ext._normal_rows
+    q = ext.base.q
+    assert len(rows) == r and all(len(row) == q for row in rows)
+    for i, ci in enumerate(conj):
+        for c in range(0, q, max(1, q // 50)):
+            assert rows[i][c] == ext.unpack(ext.mul(ext.embed(c), ci))
+    if ext.size <= 1 << 12:
+        # independent of rank_over: the q^r normal coordinates give q^r elements
+        def points(i):
+            if i == r:
+                yield 0
+                return
+            for rest in points(i + 1):
+                for c in range(q):
+                    yield ext.add(ext.pack(rows[i][c]), rest)
+
+        assert len(set(points(0))) == ext.size
+
+
+def test_normal_element_is_the_same_on_every_call_and_in_a_worker():
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a spawned worker imports charsums afresh and rebuilds the context
+    ext = make_ext(make_field(7, 1), 5, seed=2)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        child = pool.submit(getattr, ext, "normal_element").result()
+    assert child == ext.normal_element == ext.normal_element

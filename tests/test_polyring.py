@@ -373,6 +373,42 @@ def test_coeffs_from_text_rejects_partial_or_mixed_text(text):
         coeffs_from_text(text)
 
 
+def _text_ctx(p, s, r):
+    base = make_field(p, s, seed=0)
+    return base if r is None else make_ext(base, r)
+
+
+@pytest.mark.parametrize(
+    "p, s, r, text",
+    [
+        (7, 1, None, "[3 4],[1]"),  # read as 3 + x
+        (7, 1, None, "[7]"),
+        (7, 1, None, "[-1]"),
+        (3, 2, None, "[4 0]"),  # read as 1
+        (3, 2, None, "[1 0 1]"),
+        (7, 1, 2, "[8 0]"),
+        (7, 1, 2, "[1 2 3]"),
+    ],
+)
+def test_poly_from_text_rejects_groups_outside_the_field(p, s, r, text):
+    with pytest.raises(ValueError):
+        poly_from_text(_text_ctx(p, s, r), text)
+
+
+@pytest.mark.parametrize(
+    "p, s, r, text, coeffs",
+    [
+        (7, 1, None, "[3],[6]", (3, 6)),
+        (3, 2, None, "[2 1],[0]", (5,)),
+        (3, 2, None, "[1]", (1,)),
+        (7, 1, 2, "[6 6],[1]", (48, 1)),
+    ],
+)
+def test_poly_from_text_reads_groups_inside_the_field(p, s, r, text, coeffs):
+    ctx = _text_ctx(p, s, r)
+    assert poly_from_text(ctx, text) == Poly.make(ctx, coeffs)
+
+
 def _gauss_count(q: int, n: int) -> int:
     """Monic irreducibles of degree n over F_q: (1/n) sum_{d | n} mu(d) q^(n/d)."""
     total = 0
