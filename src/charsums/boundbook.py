@@ -317,14 +317,18 @@ class BoundReport:
         return out
 
 
-def _finish(kind, bound, main, hyps, strict):
+# exceptional cells whose residual must stay strictly below the bound
+STRICT_KINDS = frozenset({"TransAddExc", "TransAddSpExc"})
+
+
+def _finish(kind, bound, main, hyps):
     return BoundReport(
         kind=kind,
         bound=bound,
         main_term=main,
         hypotheses=hyps,
         applicable=all(h.passed for h in hyps),
-        strict=strict,
+        strict=kind in STRICT_KINDS,
     )
 
 
@@ -337,7 +341,7 @@ def report_weil_additive(d_prime: int, q: int, r: int) -> BoundReport:
         )
     ]
     bound = (d_prime - 1) * q ** (r / 2) if d_prime >= 1 else 0.0
-    return _finish("WeilAdd", bound, None, hyps, False)
+    return _finish("WeilAdd", bound, None, hyps)
 
 
 def report_weil_multiplicative(
@@ -348,7 +352,7 @@ def report_weil_multiplicative(
         Hypothesis("at least one distinct root", e_roots >= 1, f"e = {e_roots}"),
     ]
     bound = (e_roots - 1) * q ** (r / 2) if e_roots >= 1 else 0.0
-    return _finish("WeilMult", bound, None, hyps, False)
+    return _finish("WeilMult", bound, None, hyps)
 
 
 def report_translation_additive(
@@ -381,7 +385,7 @@ def report_translation_additive(
         )
         exceptional = adm1_zero and r % 2 == 0 and r <= d - 1
         if not exceptional:
-            return _finish("TransAddSp", bound, None, hyps, False)
+            return _finish("TransAddSp", bound, None, hyps)
         hyps.append(
             Hypothesis(
                 "exceptional cell: a_{d-1} = 0, r even, r <= d-1",
@@ -390,12 +394,12 @@ def report_translation_additive(
             )
         )
         main = main_term_additive_sp(beta, psi, q, r)
-        return _finish("TransAddSpExc", bound, main, hyps, True)
+        return _finish("TransAddSpExc", bound, main, hyps)
 
     hyps.append(Hypothesis("no g(x+c)+delta is odd", True, ""))
     exceptional = adm1_zero and r == d - 1
     if not exceptional:
-        return _finish("TransAdd", bound, None, hyps, False)
+        return _finish("TransAdd", bound, None, hyps)
     hyps.append(
         Hypothesis("exceptional cell: a_{d-1} = 0, r = d-1", True, f"r = {r}, d = {d}")
     )
@@ -412,7 +416,7 @@ def report_translation_additive(
     if roots_ok and all(h.passed for h in hyps):
         local = compute_local_data(g)
         main = main_term_additive_sl(g, local, psi, rho)
-    return _finish("TransAddExc", bound, main, hyps, True)
+    return _finish("TransAddExc", bound, main, hyps)
 
 
 def report_translation_multiplicative(
@@ -441,7 +445,7 @@ def report_translation_multiplicative(
                 "m does not divide r or g_r(0) != 0", gr0 != 0, f"g_{r}(0) = {gr0}"
             )
         hyps.append(gate)
-        return _finish("TransMult", bound, None, hyps, False)
+        return _finish("TransMult", bound, None, hyps)
 
     hyps.append(
         Hypothesis(
@@ -469,7 +473,7 @@ def report_translation_multiplicative(
     main = None
     if splits and all(h_.passed for h_ in hyps):
         main = main_term_multiplicative(g, chi, psi, q, d)
-    return _finish("TransMultExc", bound, main, hyps, False)
+    return _finish("TransMultExc", bound, main, hyps)
 
 
 def homothety_fiber_bound(d: int, q: int, r: int) -> float:
@@ -491,7 +495,7 @@ def report_homothety_additive(g: Poly, e: int, ext: ExtCtx) -> BoundReport:
         Hypothesis("d prime to p", d >= 1 and d % p != 0, f"d = {d}, p = {p}"),
         Hypothesis("e divides q-1", e >= 1 and (q - 1) % e == 0, f"e = {e}"),
     ]
-    return _finish("HomAdd", homothety_bound(d, q, r), None, hyps, False)
+    return _finish("HomAdd", homothety_bound(d, q, r), None, hyps)
 
 
 def report_homothety_multiplicative(g: Poly, chi: MultChar, e: int, ext: ExtCtx) -> BoundReport:
@@ -518,7 +522,7 @@ def report_homothety_multiplicative(g: Poly, chi: MultChar, e: int, ext: ExtCtx)
                 f"a = {a}, deg g0 = {d0}",
             )
         )
-    return _finish("HomMult", homothety_bound(d, q, r), None, hyps, False)
+    return _finish("HomMult", homothety_bound(d, q, r), None, hyps)
 
 
 def hypothesis_gate(kind: str, **kwargs) -> list[Hypothesis]:

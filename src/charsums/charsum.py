@@ -114,8 +114,6 @@ def _psi_table(ctx: FieldCtx, b: int) -> list[complex]:
     cache = ctx.__dict__.setdefault("_psi_tables", {})
     tab = cache.get(b)
     if tab is None:
-        if ctx.s > 1:
-            ctx._abs_trace_tab  # prime the per-element trace table once
         zp = _unit_roots(ctx.p)
         tab = [zp[ctx.abs_trace(ctx.mul(b, t)) % ctx.p] for t in range(ctx.q)]
         cache[b] = tab

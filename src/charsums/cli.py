@@ -17,6 +17,7 @@ count cannot change any numeric output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import random
@@ -26,6 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 
 from .boundbook import (
+    STRICT_KINDS,
     report_homothety_additive,
     report_homothety_multiplicative,
     report_translation_additive,
@@ -49,7 +51,15 @@ from .charsum import (
 from .errors import CharsumsError, ConfigInvalid, Unsatisfiable
 from .ffield import is_prime, make_ext, make_field
 from .invariance import as_reduce, mth_power_test
-from .polyring import Poly, coeffs_from_text, is_squarefree, poly_from_text, poly_to_text
+from .polyring import (
+    Poly,
+    coeff_errors,
+    coeffs_from_text,
+    is_squarefree,
+    poly_from_text,
+    poly_to_text,
+    random_poly,
+)
 
 KINDS = ("WeilAdd", "WeilMult", "TransAdd", "TransMult", "HomAdd", "HomMult")
 CONSTRAINT_KEYS = (
@@ -60,10 +70,6 @@ CONSTRAINT_KEYS = (
     "splits_in_k",
     "roots_sum_zero",
     "nonzero_constant",
-)
-CSV_COLUMNS = (
-    "kind,p,s,q,r,d,m,poly,S_re,S_im,S_abs,weil,improved,"
-    "main_re,main_im,residual,pass_weil,pass_improved,applicable,seconds"
 )
 MAX_CAP = 1 << 26
 GEN_RETRIES = 10**4
@@ -105,36 +111,6 @@ def _as_list(v, name, errors):
         return list(v)
     errors.append(f"{name}: expected an int or nonempty list of ints")
     return []
-
-
-def _coeff_errors(coeffs: list, kind: str, p: int, s: int, r_list: list[int]) -> list[str]:
-    """Explicit coefficients that do not name an element of the polynomial's
-    field, or that are all zero.
-
-    Over a prime field an integer is a residue and is reduced mod p.  On
-    F_{p^s} (s digits over F_p) and on the k_r of the homothety kinds
-    (r digits over k, checked on the smallest r) an integer is a packed
-    value and a [d_0 d_1 ...] group lists digits, so both must be in range.
-    """
-    hom = kind in ("HomAdd", "HomMult")
-    residues = not hom and s == 1
-    errors = []
-    if all(not any(c) if isinstance(c, list) else (c % p if residues else c) == 0 for c in coeffs):
-        errors.append("poly.coeffs: every coefficient is zero")
-    if hom and not r_list:
-        return errors
-    base, n_digits = (p**s, min(r_list)) if hom else (p, s)
-    size = base**n_digits
-    for i, c in enumerate(coeffs):
-        if isinstance(c, list):
-            if len(c) > n_digits or not all(0 <= x < base for x in c):
-                errors.append(
-                    f"poly.coeffs: a_{i} = [{' '.join(map(str, c))}] needs at most "
-                    f"{n_digits} digits, each in [0, {base})"
-                )
-        elif not residues and not 0 <= c < size:
-            errors.append(f"poly.coeffs: a_{i} = {c} is not in [0, {size})")
-    return errors
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -245,9 +221,20 @@ def parse_config(data: dict) -> ExperimentConfig:
         if kind in ("WeilMult", "TransMult", "HomMult") and (q - 1) % char_m != 0:
             errors.append(f"char.m: {char_m} does not divide q - 1 = {q - 1}")
         if coeff_list is not None:
+            # an integer is a residue mod p only on a prime base field; the
+            # homothety kinds read coefficients on k_r, checked on the smallest r
+            hom = kind in ("HomAdd", "HomMult")
+            residues = not hom and s == 1
+            if all(
+                not any(c) if isinstance(c, list) else (c % p if residues else c) == 0
+                for c in coeff_list
+            ):
+                errors.append("poly.coeffs: every coefficient is zero")
             # q^r <= cap <= 2^26 needs r <= 26; the cap check below rejects larger r
             levels = [r for r in r_list if 1 <= r <= 26]
-            errors.extend(_coeff_errors(coeff_list, kind, p, s, levels))
+            if levels or not hom:
+                found = coeff_errors(coeff_list, p, s, min(levels) if hom else None)
+                errors.extend(f"poly.coeffs: {msg}" for msg in found)
         if kind in ("HomAdd", "HomMult"):
             bad_e = [e for e in e_list if e < 1 or (q - 1) % e]
             if bad_e:
@@ -305,9 +292,7 @@ def gen_poly(ctx, d: int, constraints: dict, rng: random.Random) -> Poly:
             if not want["monic"]:
                 g = g.scale(rng.randrange(1, size))
         else:
-            coeffs = [rng.randrange(size) for _ in range(d)]
-            coeffs.append(1 if want["monic"] else rng.randrange(1, size))
-            g = Poly(ctx, tuple(coeffs))
+            g = random_poly(ctx, d, rng, monic=want["monic"])
         coeffs = list(g.coeffs)
         if want["a_dm1_zero"] and d >= 1:
             coeffs[d - 1] = 0
@@ -359,40 +344,29 @@ class ResultRow:
     seconds: float
 
     def csv_line(self) -> str:
-        def num(x):
-            return repr(float(x))
-
-        main_re = "" if self.main_re is None else num(self.main_re)
-        main_im = "" if self.main_im is None else num(self.main_im)
-        cells = [
-            self.kind,
-            str(self.p),
-            str(self.s),
-            str(self.q),
-            str(self.r),
-            str(self.d),
-            str(self.m),
-            self.poly,
-            num(self.S_re),
-            num(self.S_im),
-            num(self.S_abs),
-            num(self.weil),
-            num(self.improved),
-            main_re,
-            main_im,
-            num(self.residual),
-            "1" if self.pass_weil else "0",
-            "1" if self.pass_improved else "0",
-            "1" if self.applicable else "0",
-            f"{self.seconds:.3f}",
-        ]
-        return ",".join(f'"{c}"' if "," in c else c for c in cells)
+        """One cell per field: floats by repr, None empty, bools as 1/0,
+        seconds to the millisecond; a cell holding a comma is quoted."""
+        cells = []
+        for f in dc_fields(self):
+            x = getattr(self, f.name)
+            if x is None:
+                cell = ""
+            elif f.name == "seconds":
+                cell = f"{x:.3f}"
+            elif "float" in str(f.type):
+                cell = repr(float(x))
+            elif isinstance(x, bool):
+                cell = "1" if x else "0"
+            else:
+                cell = str(x)
+            cells.append(f'"{cell}"' if "," in cell else cell)
+        return ",".join(cells)
 
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
-STRICT_KINDS = {"TransAddExc", "TransAddSpExc"}
+CSV_COLUMNS = tuple(f.name for f in dc_fields(ResultRow))
 
 
 def flags_from_values(
@@ -415,32 +389,34 @@ def _row_seed(seed: int, *parts: int) -> int:
     return key
 
 
-def _make_row(kind, base, ext, d, m, g_text, S, weil, improved, main, applicable, t0):
+def _make_row(rep, base, ext, g, m, S, weil, t0):
+    """The row of polynomial g, its bound report and its enumerated sum S."""
+    main = rep.main_term
     S_abs = abs(S)
     residual = abs(S - (main if main is not None else 0))
     pass_weil, pass_improved = flags_from_values(
-        kind, S_abs, weil, improved, residual, base.q, ext.r
+        rep.kind, S_abs, weil, rep.bound, residual, base.q, ext.r
     )
     return ResultRow(
-        kind=kind,
+        kind=rep.kind,
         p=base.p,
         s=base.s,
         q=base.q,
         r=ext.r,
-        d=d,
+        d=g.degree,
         m=m,
-        poly=g_text,
+        poly=poly_to_text(g),
         S_re=S.real,
         S_im=S.imag,
         S_abs=S_abs,
         weil=weil,
-        improved=improved,
+        improved=rep.bound,
         main_re=None if main is None else main.real,
         main_im=None if main is None else main.imag,
         residual=residual,
         pass_weil=pass_weil,
         pass_improved=pass_improved,
-        applicable=applicable,
+        applicable=rep.applicable,
         seconds=time.perf_counter() - t0,
     )
 
@@ -474,98 +450,60 @@ def run(config: ExperimentConfig, pool=None) -> list[ResultRow]:
     return rows
 
 
-def _cell_poly(config, ctx, d, trial):
-    if config.poly_source == "explicit":
-        return poly_from_text(ctx, config.poly_coeffs)
-    rng = random.Random(_row_seed(config.seed, ctx.size, d, trial))
-    return gen_poly(ctx, d, config.constraints, rng)
-
-
 def _run_cell(config, base, ext, psi, d, e, trial, pool):
     kind = config.kind
+    if kind not in KINDS:
+        raise ConfigInvalid([f"unhandled kind {kind!r}"])
     q, r = base.q, ext.r
     t0 = time.perf_counter()
+    hom = kind in ("HomAdd", "HomMult")
+    if hom and (q - 1) % e != 0:
+        raise ConfigInvalid([f"e = {e} does not divide q - 1 = {q - 1}"])
+    ctx = ext if hom else base
+    if config.poly_source == "explicit":
+        g = poly_from_text(ctx, config.poly_coeffs)
+    else:
+        rng = random.Random(_row_seed(config.seed, ctx.size, d, trial))
+        g = gen_poly(ctx, d, config.constraints, rng)
+    additive = kind.endswith("Add")
+    char = psi if additive else MultChar.of_order(base, config.char_m)
+    m = 0 if additive else char.order
 
-    if kind in ("TransAdd", "TransMult"):
-        g = _cell_poly(config, base, d, trial)
-        d_eff = g.degree
-        if kind == "TransAdd":
-            rep = report_translation_additive(g, psi, r)
-            S = sum_additive(g, psi, ext, inner=("frobsub",), cap=config.cap, pool=pool)
-            weil = (d_eff - 1) * q ** (r / 2 + 1)
-            m = 0
-        else:
-            chi = MultChar.of_order(base, config.char_m)
-            rep = report_translation_multiplicative(g, chi, psi, r)
-            S = sum_multiplicative(g, chi, ext, inner=("frobsub",), cap=config.cap, pool=pool)
-            weil = (q * d_eff - 1) * q ** (r / 2)
-            m = chi.order
-        return [
-            _make_row(
-                rep.kind, base, ext, d_eff, m, poly_to_text(g), S, weil, rep.bound,
-                rep.main_term, rep.applicable, t0,
-            )
-        ]
-
-    if kind in ("HomAdd", "HomMult"):
-        if (q - 1) % e != 0:
-            raise ConfigInvalid([f"e = {e} does not divide q - 1 = {q - 1}"])
-        g = _cell_poly(config, ext, d, trial)
-        d_eff = g.degree
-        n = (q - 1) // e
-        if kind == "HomAdd":
+    if kind == "TransAdd":
+        rep = report_translation_additive(g, psi, r)
+        weil = (g.degree - 1) * q ** (r / 2 + 1)
+    elif kind == "TransMult":
+        rep = report_translation_multiplicative(g, char, psi, r)
+        weil = (q * g.degree - 1) * q ** (r / 2)
+    elif hom:
+        if additive:
             rep = report_homothety_additive(g, e, ext)
-            full = sum_additive(g, psi, ext, inner=("pow", n), cap=config.cap, pool=pool)
-            S = full - psi.table()[ext.trace_to_base(g.coeff(0))]
-            m = 0
         else:
-            chi = MultChar.of_order(base, config.char_m)
-            rep = report_homothety_multiplicative(g, chi, e, ext)
-            full = sum_multiplicative(g, chi, ext, inner=("pow", n), cap=config.cap, pool=pool)
-            S = full - chi.table()[ext.norm_to_base(g.coeff(0))]
-            m = chi.order
+            rep = report_homothety_multiplicative(g, char, e, ext)
         # the classical bound covers the full sum; rows record the sum over
         # the nonzero elements, so allow for the removed x = 0 term
-        weil = max((d_eff * (q - 1) // e - 1), 0) * q ** (r / 2) + 1
-        return [
-            _make_row(
-                rep.kind, base, ext, d_eff, m, poly_to_text(g), S, weil, rep.bound,
-                None, rep.applicable, t0,
-            )
-        ]
+        weil = max((g.degree * (q - 1) // e - 1), 0) * q ** (r / 2) + 1
+    else:
+        if additive:
+            rep = report_weil_additive(as_reduce(g, psi).d_prime, q, r)
+        else:
+            is_power, e_roots = mth_power_test(g, m)
+            rep = report_weil_multiplicative(e_roots, q, r, is_power)
+        weil = rep.bound
 
-    if kind == "WeilAdd":
-        f = _cell_poly(config, base, d, trial)
-        red = as_reduce(f, psi)
-        rep = report_weil_additive(red.d_prime, q, r)
-        S = sum_additive(f, psi, ext, cap=config.cap, pool=pool)
-        bound = rep.bound
-        return [
-            _make_row(
-                rep.kind, base, ext, f.degree, 0, poly_to_text(f), S, bound, bound,
-                None, rep.applicable, t0,
-            )
-        ]
-
-    if kind == "WeilMult":
-        f = _cell_poly(config, base, d, trial)
-        chi = MultChar.of_order(base, config.char_m)
-        is_power, e_roots = mth_power_test(f, chi.order)
-        rep = report_weil_multiplicative(e_roots, q, r, is_power)
-        S = sum_multiplicative(f, chi, ext, cap=config.cap, pool=pool)
-        bound = rep.bound
-        return [
-            _make_row(
-                rep.kind, base, ext, f.degree, chi.order, poly_to_text(f), S, bound,
-                bound, None, rep.applicable, t0,
-            )
-        ]
-
-    raise ConfigInvalid([f"unhandled kind {kind!r}"])
+    total = sum_additive if additive else sum_multiplicative
+    if hom:
+        full = total(g, char, ext, inner=("pow", (q - 1) // e), cap=config.cap, pool=pool)
+        at_zero = ext.trace_to_base(g.coeff(0)) if additive else ext.norm_to_base(g.coeff(0))
+        S = full - char.table()[at_zero]
+    else:
+        inner = ("frobsub",) if kind.startswith("Trans") else None
+        S = total(g, char, ext, inner=inner, cap=config.cap, pool=pool)
+    return [_make_row(rep, base, ext, g, m, S, weil, t0)]
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
-    return "\n".join([CSV_COLUMNS] + [row.csv_line() for row in rows]) + "\n"
+    return "\n".join([",".join(CSV_COLUMNS)] + [row.csv_line() for row in rows]) + "\n"
 
 
 def csv_without_timing(csv_text: str) -> str:
@@ -692,8 +630,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the integer arguments of each subcommand that must be >= 1
+_POSITIVE_ARGS = {"check-identity": ("s", "r", "trials"), "gen": ("s", "d")}
+
+
+def _open_out(path: str | None):
+    """The stream rows are written to, opened before any work is done."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise CharsumsError(f"{path}: {exc.strerror}") from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    bad = [f"--{name}" for name in _POSITIVE_ARGS.get(args.command, ()) if getattr(args, name) < 1]
+    if bad:
+        print(f"error: {', '.join(bad)} must be >= 1", file=sys.stderr)
+        return 2
 
     if args.command == "run":
         try:
@@ -711,7 +667,12 @@ def main(argv=None) -> int:
                 if val is not None and isinstance(data, dict):
                     data[key] = val
             config = parse_config(data)
-            rows = run(config)
+            with _open_out(args.out) as fh:
+                rows = run(config)
+                if args.out and args.out.endswith(".json"):
+                    json.dump([row.to_json() for row in rows], fh, indent=1)
+                else:
+                    fh.write(rows_to_csv(rows))
         except ConfigInvalid as exc:
             for msg in exc.messages:
                 print(f"config error: {msg}", file=sys.stderr)
@@ -720,15 +681,6 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         ok = all_applicable_pass(rows)
-        if args.out:
-            if args.out.endswith(".json"):
-                with open(args.out, "w") as fh:
-                    json.dump([row.to_json() for row in rows], fh, indent=1)
-            else:
-                with open(args.out, "w") as fh:
-                    fh.write(rows_to_csv(rows))
-        else:
-            sys.stdout.write(rows_to_csv(rows))
         applicable = sum(1 for row in rows if row.applicable)
         print(
             f"# {len(rows)} rows, {applicable} applicable, "

@@ -211,13 +211,6 @@ class FieldCtx:
             log[cur] = i
         return exp, log
 
-    @cached_property
-    def _abs_trace_tab(self):
-        # trace down to F_p of every element, as lifted ints in [0, p)
-        if self.s == 1:
-            return None  # identity
-        return [self.abs_trace(a) for a in range(self.q)]
-
     # -- arithmetic on packed ints ----------------------------------------
     def add(self, a: int, b: int) -> int:
         if self.s == 1:
@@ -262,12 +255,10 @@ class FieldCtx:
         return self.pow_(a, self.q - 2)
 
     def abs_trace(self, a: int) -> int:
-        """Trace from k down to F_p, returned as a lifted int in [0, p)."""
+        """Trace from k down to F_p as a lifted int in [0, p), computed by
+        the extension kernel; `charsum._psi_table` caches what it builds."""
         if self.s == 1:
             return a
-        tab = self.__dict__.get("_abs_trace_tab")
-        if tab is not None:
-            return tab[a]
         return self._ext.trace_to_base(a)
 
     def __repr__(self):
@@ -512,13 +503,13 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
             return tuple(t[:r])
 
         def eadd(a, b):
-            return tuple(at[x][y] for x, y in zip(a, b))
+            return tuple([at[x][y] for x, y in zip(a, b)])
 
         def esub(a, b):
-            return tuple(at[x][nt[y]] for x, y in zip(a, b))
+            return tuple([at[x][nt[y]] for x, y in zip(a, b)])
 
         def eneg(a):
-            return tuple(nt[x] for x in a)
+            return tuple([nt[x] for x in a])
 
         def kmul(a, b):
             return mt[a][b]
@@ -542,16 +533,16 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
                     for j, rv in enumerate(row):
                         if rv:
                             t[j] += c * rv
-            return tuple(v % p for v in t[:r])
+            return tuple([v % p for v in t[:r]])
 
         def eadd(a, b):
-            return tuple((x + y) % p for x, y in zip(a, b))
+            return tuple([(x + y) % p for x, y in zip(a, b)])
 
         def esub(a, b):
-            return tuple((x - y) % p for x, y in zip(a, b))
+            return tuple([(x - y) % p for x, y in zip(a, b)])
 
         def eneg(a):
-            return tuple(-x % p for x in a)
+            return tuple([-x % p for x in a])
 
         def kmul(a, b):
             return a * b % p

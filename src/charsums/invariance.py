@@ -110,23 +110,14 @@ class ASReduction:
 def _twist_constant(psi: AdditiveChar) -> int:
     """The unique a in k with psi(t^p) = psi(a*t) for all t.
 
-    Found by brute-force solve over k on a spanning set; for the canonical
-    character pulled back from the prime field, a = 1.
+    For psi = psi_b, Tr_{k/F_p} is Frobenius-invariant, so
+    Tr(b t^p) = Tr(b^(1/p) t) and a = b^(1/p - 1) = b^(q/p - 1); for the
+    canonical character (b = 1), a = 1.
     """
     ctx = psi.ctx
     if psi.is_trivial:
         raise ValueError("twist constant needs a nontrivial character")
-    p = ctx.p
-    b = psi.b
-    basis = [ctx.pack(tuple(1 if i == j else 0 for i in range(ctx.s))) for j in range(ctx.s)]
-    for a in range(ctx.q):
-        if all(
-            ctx.abs_trace(ctx.mul(b, ctx.pow_(t, p)))
-            == ctx.abs_trace(ctx.mul(b, ctx.mul(a, t)))
-            for t in basis
-        ):
-            return a
-    raise AssertionError("no twist constant found; character tables inconsistent")
+    return ctx.pow_(psi.b, ctx.q // ctx.p - 1)
 
 
 def as_reduce(f: Poly, psi: AdditiveChar) -> ASReduction:

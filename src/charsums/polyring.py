@@ -545,19 +545,40 @@ def coeffs_from_text(text: str) -> list:
     return groups
 
 
-def poly_from_text(ctx, text: str) -> Poly:
-    """Integers are reduced mod p over a prime field; elsewhere they are
-    packed values, and one outside the field raises ValueError.  A digit
-    group lists at most s digits in [0, p) over F_{p^s}, or at most r
-    digits in [0, q) over k_r; any other group raises ValueError."""
-    n_digits, base = (ctx.r, ctx.base.q) if isinstance(ctx, ExtCtx) else (ctx.s, ctx.p)
-    coeffs = coeffs_from_text(text)
+def coeff_errors(coeffs: list, p: int, s: int, r: int | None = None) -> list[str]:
+    """Why each parsed coefficient names no element of F_{p^s} (r is None)
+    or of its degree-r extension k_r; empty when every one does.
+
+    Over a prime field an integer is a residue, reduced mod p.  Elsewhere
+    an integer is a packed value and must lie in [0, size).  A digit group
+    lists at most s digits in [0, p) over F_{p^s}, or at most r digits in
+    [0, p^s) over k_r.
+    """
+    base, n_digits = (p, s) if r is None else (p**s, r)
+    size = base**n_digits
+    errors = []
     for i, c in enumerate(coeffs):
-        if isinstance(c, list) and (len(c) > n_digits or not all(0 <= d < base for d in c)):
-            raise ValueError(
-                f"a_{i} = [{' '.join(map(str, c))}] needs at most {n_digits} digits, "
-                f"each in [0, {base})"
-            )
+        if isinstance(c, list):
+            if len(c) > n_digits or not all(0 <= d < base for d in c):
+                errors.append(
+                    f"a_{i} = [{' '.join(map(str, c))}] needs at most {n_digits} digits, "
+                    f"each in [0, {base})"
+                )
+        elif (r is not None or s > 1) and not 0 <= c < size:
+            errors.append(f"a_{i} = {c} is not in [0, {size})")
+    return errors
+
+
+def poly_from_text(ctx, text: str) -> Poly:
+    """Parse coefficient text over ctx; a coefficient that `coeff_errors`
+    rejects raises ValueError with its message."""
+    coeffs = coeffs_from_text(text)
+    if isinstance(ctx, ExtCtx):
+        errors = coeff_errors(coeffs, ctx.base.p, ctx.base.s, ctx.r)
+    else:
+        errors = coeff_errors(coeffs, ctx.p, ctx.s)
+    if errors:
+        raise ValueError(errors[0])
     return Poly.make(ctx, [ctx.pack(c) if isinstance(c, list) else c for c in coeffs])
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -383,3 +384,53 @@ def test_parse_config_rejects_huge_field_and_level_without_computing_them():
     with pytest.raises(ConfigInvalid) as info:
         parse_config(hom)
     assert [m.split(":")[0] for m in info.value.messages] == ["r"]
+
+
+GOLDEN = sorted(path.stem for path in (Path(__file__).parent / "data").glob("golden_*.json"))
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_csv_bytes(name):
+    # every kind, a TransAddExc main term, empty main cells and a quoted
+    # bracketed polynomial: recorded CSVs pin the row bytes across commits
+    data = Path(__file__).parent / "data"
+    config = parse_config(json.loads((data / f"{name}.json").read_text()))
+    assert csv_without_timing(rows_to_csv(run(config))) == (data / f"{name}.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-identity", "double-sum", "--s", "0"],
+        ["check-identity", "double-sum", "--r", "0"],
+        ["check-identity", "counting", "--r", "0"],
+        ["check-identity", "reassembly-add", "--r", "-1"],
+        ["check-identity", "double-sum", "--trials", "0"],
+        ["check-identity", "reassembly-mult", "--trials", "-2"],
+        ["gen", "--p", "7", "--s", "0", "--d", "3", "--seed", "1"],
+        ["gen", "--p", "7", "--d", "0", "--seed", "1"],
+        ["gen", "--p", "7", "--d", "-3", "--seed", "1"],
+    ],
+    ids=["s-zero", "r-zero", "counting-r-zero", "r-negative", "trials-zero",
+         "trials-negative", "gen-s-zero", "gen-d-zero", "gen-d-negative"],
+)
+def test_bad_identity_and_gen_arguments_are_one_error_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "make_ext", lambda *a, **k: pytest.fail("an extension was built"))
+    monkeypatch.setattr(cli, "gen_poly", lambda *a, **k: pytest.fail("a polynomial was drawn"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_run_unwritable_out_fails_before_enumerating(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg()))
+    out = tmp_path / "missing" / "rows.csv"
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: pytest.fail("run was reached"))
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {out}: ")
+    assert "Traceback" not in captured.err and captured.out == ""

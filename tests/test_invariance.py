@@ -154,17 +154,21 @@ def test_as_reduce_preserves_character_pointwise():
                 assert abs(psi.value(a) - psi.value(b)) < 1e-12
 
 
-def test_as_reduce_twisted_character():
+@pytest.mark.parametrize(
+    "p, s, seed", [(3, 2, 0), (2, 3, 1), (3, 3, 1), (5, 2, 1), (3, 2, 1)],
+    ids=["F9", "F8-seed1", "F27-seed1", "F25-seed1", "F9-seed1"],
+)
+def test_as_reduce_twisted_character(p, s, seed):
     # psi_b with b != 1: the twist constant must satisfy psi(t^p) = psi(a t)
-    ctx = make_field(3, 2, seed=0)
+    from charsums.invariance import _twist_constant
+
+    ctx = make_field(p, s, seed=seed)
     for b in range(1, ctx.q):
         psi = AdditiveChar(ctx, b)
-        from charsums.invariance import _twist_constant
-
         a = _twist_constant(psi)
         tab = psi.table()
         for t in range(ctx.q):
-            assert abs(tab[ctx.pow_(t, 3)] - tab[ctx.mul(a, t)]) < 1e-12
+            assert abs(tab[ctx.pow_(t, p)] - tab[ctx.mul(a, t)]) < 1e-12
 
 
 def test_reduced_degree_of_composed_polynomial():
