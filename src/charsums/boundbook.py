@@ -340,7 +340,7 @@ def report_weil_additive(d_prime: int, q: int, r: int) -> BoundReport:
             f"d' = {d_prime}" + ("; sum equals q^r * psi(Tr c) exactly" if d_prime == 0 else ""),
         )
     ]
-    bound = (d_prime - 1) * q ** (r / 2) if d_prime >= 1 else 0.0
+    bound = weil_bound_additive(d_prime, q, r) if d_prime >= 1 else 0.0
     return _finish("WeilAdd", bound, None, hyps)
 
 
@@ -351,7 +351,7 @@ def report_weil_multiplicative(
         Hypothesis("not an m-th power times a constant", not is_mth_power, ""),
         Hypothesis("at least one distinct root", e_roots >= 1, f"e = {e_roots}"),
     ]
-    bound = (e_roots - 1) * q ** (r / 2) if e_roots >= 1 else 0.0
+    bound = weil_bound_multiplicative(e_roots, q, r) if e_roots >= 1 else 0.0
     return _finish("WeilMult", bound, None, hyps)
 
 

@@ -2,11 +2,14 @@
 
 Every sum is sum_v c_v * chi(v) over v in k, where c_v counts the
 elements of k_r (or of a norm fiber) whose trace or norm index is v.
-The counts come from one of two walks.  When r > 1 and every coefficient
-of f lies in k, the summand is constant on each Frobenius orbit of k_r
-over k, so the orbit walk visits one element per orbit (a necklace of
-its coordinates in a normal basis) and adds the orbit's size; otherwise
-the full walk visits every element.  Both give the same exact integer
+The counts come from one of three walks.  When r > 1 and every
+coefficient of f lies in k, the summand is constant on each Frobenius
+orbit of k_r over k, so the orbit walk visits one element per orbit (a
+necklace of its coordinates in a normal basis) and adds the orbit's
+size.  Otherwise a norm fiber N(x) = mu is a coset x0 * <gamma^(q-1)> of
+the unit group, and the coset walk visits just its (q^r-1)/(q-1)
+elements, one product per step; and a whole-field sum takes the full
+walk over every element.  All three give the same exact integer
 counts.  Each index-range partition yields exact integer counts, which
 are added exactly and evaluated once in fixed order, so serial runs and
 worker pools produce bit-identical values.  A pool task carries the
@@ -23,12 +26,12 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product, repeat
+from itertools import accumulate, islice, product, repeat
 
 from .errors import CtxMismatch, FieldTooLarge, NotABasis, ZeroMu
 # make_ext and make_field are unused here but stay importable from this
 # module: perfbench/tracer.py rebinds them here to time field construction
-from .ffield import ExtCtx, FieldCtx, FqElem, make_ext, make_field, rank_over
+from .ffield import ExtCtx, FieldCtx, FqElem, element_value, make_ext, make_field, rank_over
 from .polyring import Poly, evaluate, lift
 
 DEFAULT_CAP = 1 << 24
@@ -248,7 +251,9 @@ def _tally(ext, mode, coeffs, inner, mu, points) -> list[int]:
 def _count_part(task) -> list[int]:
     """The full walk: every element of an index range of k_r, weight 1.
 
-    It runs for polynomials with a coefficient outside k, and at r = 1.
+    It runs for whole-field sums of polynomials with a coefficient outside
+    k, and at r = 1.  With mu given it filters by norm, the oracle the
+    coset walk is tested against.
     """
     ext, mode, coeffs, inner, mu, start, stop = task
     xs = islice(product(range(ext.base.q), repeat=ext.r), start, stop)
@@ -282,6 +287,46 @@ def _count_orbits(task) -> list[int]:
     return _tally(ext, mode, coeffs, inner, mu, points())
 
 
+def _fiber_size(ext) -> int:
+    return (ext.size - 1) // (ext.base.q - 1)
+
+
+def _fiber_coset(ext, mu) -> tuple:
+    """(x0, h) with the fiber N(x) = mu equal to the coset x0 * <h>.
+
+    With gamma = generator_r, N(gamma^i) = N(gamma)^i and N(gamma)
+    generates k^*, so N is onto with kernel <gamma^(q-1)>, a subgroup of
+    order (q^r-1)/(q-1): take h = gamma^(q-1) and x0 = gamma^i0 where
+    N(gamma)^i0 = mu, i0 read off the dlog table of k.  At r = 1 the
+    fiber is {mu} and no dlog is needed.
+    """
+    ko = ext._kops
+    if ext.r == 1:
+        return (mu,), ko.one
+    q = ext.base.q
+    gamma = ext.unpack(ext.generator_r)
+    _, log = ext.base._dlog
+    i0 = log[mu] * pow(log[ko.enorm(gamma)], -1, q - 1) % (q - 1)
+    return ko.epow(gamma, i0), ko.epow(gamma, q - 1)
+
+
+def _count_coset(task) -> list[int]:
+    """The coset walk: x0 * h^i for i in [start, stop), weight 1, with
+    (x0, h) from `_fiber_coset`, one product per step.
+
+    The part starts at x0 * h^start with one power.  The part that ends
+    the coset must step back onto x0, or the walk was not the fiber.
+    """
+    ext, mode, coeffs, inner, mu, start, stop = task
+    ko = ext._kops
+    x0, h = _fiber_coset(ext, mu)
+    walk = accumulate(repeat(h, stop - start), ko.emul, initial=ko.emul(x0, ko.epow(h, start)))
+    counts = _tally(ext, mode, coeffs, inner, None, zip(islice(walk, stop - start), repeat(1)))
+    if stop == _fiber_size(ext) and next(walk) != x0:
+        raise RuntimeError(f"the coset walk of mu = {mu} did not return to its start")
+    return counts
+
+
 def _csum(terms) -> complex:
     """Correctly rounded sum of complex terms, whatever their order."""
     terms = list(terms)
@@ -292,12 +337,13 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
     """Check, count every term exactly, then evaluate sum_v c_v * char(v).
 
     For r > 1 and f over k the counts come from the orbit walk
-    (`_count_orbits`), otherwise from the full walk (`_count_part`); both
-    give the same exact histogram.  A pool splits either walk into index
-    ranges when q^r >= _PART_THRESHOLD.
+    (`_count_orbits`); otherwise a fiber sum takes the coset walk
+    (`_count_coset`) and any other sum the full walk (`_count_part`).  All
+    give the same exact histogram.  A pool splits each walk into as many
+    index ranges as `_part_ranges(q^r)` gives.
     """
     if mu is not None:
-        mu = mu.val if isinstance(mu, FqElem) else mu
+        mu = element_value(ext.base, mu.val if isinstance(mu, FqElem) else mu)
         if mu == 0:
             raise ZeroMu("norm fibers are indexed by nonzero mu")
     if char.ctx != ext.base:
@@ -309,15 +355,22 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
     coeffs = _ext_coeff_tuples(f, ext)
     ranges = _part_ranges(n)
     parallel = pool is not None and len(ranges) > 1
+    parts = len(ranges) if parallel else 1
     if ext.r > 1 and not any(any(c[1:]) for c in coeffs):  # f lies over k
         worker = _count_orbits
-        ranges = _necklace_spans(q, ext.r, len(ranges) if parallel else 1)
+        ranges = _necklace_spans(q, ext.r, parts)
+    elif mu is not None:
+        worker = _count_coset
+        if ext._kops.enorm(_fiber_coset(ext, mu)[0]) != mu:
+            raise RuntimeError(f"the coset of mu = {mu} starts outside its fiber")
+        m = _fiber_size(ext)
+        ranges = [(i * m // parts, (i + 1) * m // parts) for i in range(parts)]
     else:
         worker = _count_part
     tasks = [(ext, mode, coeffs, inner, mu, a, b) for a, b in ranges]
     mapper = pool.map if parallel else map
     counts = [sum(col) for col in zip(*mapper(worker, tasks))]
-    expected = terms if mu is None else (n - 1) // (q - 1)
+    expected = terms if mu is None else _fiber_size(ext)
     if sum(counts) != expected:
         raise RuntimeError(f"counted {sum(counts)} terms, expected {expected}")
     tab = char.table()

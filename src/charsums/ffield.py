@@ -736,6 +736,17 @@ class FqElem:
         return f"<{self.val} in {self.ctx!r}>"
 
 
+def element_value(ctx, a: int) -> int:
+    """The packed value that the integer a names in ctx: a residue, reduced
+    mod p, on a prime field; elsewhere a packed value, which must lie in
+    [0, size)."""
+    if isinstance(ctx, FieldCtx) and ctx.s == 1:
+        return a % ctx.p
+    if not 0 <= a < ctx.size:
+        raise ValueError(f"a = {a} is not in [0, {ctx.size})")
+    return a
+
+
 def elem(ctx, value) -> FqElem:
     """Wrap a packed int (or coefficient iterable) as an FqElem."""
     if isinstance(value, FqElem):
@@ -743,11 +754,7 @@ def elem(ctx, value) -> FqElem:
             raise CtxMismatch("element from another field")
         return value
     if isinstance(value, int):
-        if isinstance(ctx, FieldCtx) and ctx.s == 1:
-            return FqElem(ctx, value % ctx.p)
-        if not 0 <= value < ctx.size:
-            raise ValueError("packed value out of range for this field")
-        return FqElem(ctx, value)
+        return FqElem(ctx, element_value(ctx, value))
     return FqElem(ctx, ctx.pack(value))
 
 

@@ -21,7 +21,7 @@ from .errors import (
     FieldTooLarge,
     ZeroPoly,
 )
-from .ffield import ExtCtx, FieldCtx, FqElem, factorize
+from .ffield import ExtCtx, FieldCtx, FqElem, element_value, factorize
 
 ROOT_ENUM_CAP = 10**6
 
@@ -41,12 +41,8 @@ class Poly:
                 if c.ctx != ctx:
                     raise CtxMismatch("coefficient from another field")
                 vals.append(c.val)
-            elif isinstance(ctx, FieldCtx) and ctx.s == 1:
-                vals.append(c % ctx.p)
             else:
-                if not 0 <= c < ctx.size:
-                    raise ValueError("packed coefficient out of range")
-                vals.append(c)
+                vals.append(element_value(ctx, c))
         while vals and vals[-1] == 0:
             vals.pop()
         return Poly(ctx, tuple(vals))

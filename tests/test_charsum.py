@@ -11,6 +11,7 @@ from charsums import FqElem, make_ext, make_field
 from charsums.charsum import (
     AdditiveChar,
     MultChar,
+    _count_coset,
     _count_orbits,
     _count_part,
     _ext_coeff_tuples,
@@ -143,6 +144,14 @@ def test_fiber_sum_examples():
         assert fiber_sum_additive(g, psi, e1, mu) == pytest.approx(want)
     with pytest.raises(ZeroMu):
         fiber_sum_additive(g, psi, e2, 0)
+    # mu names an element of k as elem reads an integer: a residue mod p
+    # on a prime field, a packed value below q elsewhere
+    assert fiber_sum_additive(g, psi, e2, 14) == fiber_sum_additive(g, psi, e2, 1)
+    with pytest.raises(ZeroMu):
+        fiber_sum_additive(g, psi, e2, 13)
+    f9 = make_field(3, 2)
+    with pytest.raises(ValueError, match=r"a = 9 is not in \[0, 9\)"):
+        fiber_sum_additive(Poly.make(f9, (1, 1)), AdditiveChar.canonical(f9), make_ext(f9, 2), 9)
 
 
 def test_fiber_sum_mult_g_equals_x():
@@ -297,6 +306,9 @@ def test_pool_and_serial_agree_bitwise():
         lambda pool: fiber_sum_multiplicative(h, chi4, e7, 3, pool=pool),
         lambda pool: double_sum_check(h, psi4, e7, pool=pool),
         lambda pool: sum_additive(h7, psi4, e7, inner=("pow", 3), pool=pool),
+        # fibers of h7 take the coset walk, split into partitions
+        lambda pool: fiber_sum_additive(h7, psi4, e7, 2, pool=pool),
+        lambda pool: fiber_sum_multiplicative(h7, chi4, e7, 3, pool=pool),
     ]
     serial = [call(None) for call in calls]
     with ProcessPoolExecutor(max_workers=4) as pool:
@@ -388,18 +400,69 @@ def test_enumerate_takes_the_orbit_walk_exactly_for_f_over_k(monkeypatch):
     import charsums.charsum as cs
 
     seen = []
-    for name in ("_count_part", "_count_orbits"):
+    for name in ("_count_part", "_count_orbits", "_count_coset"):
         fn = getattr(cs, name)
         monkeypatch.setattr(cs, name, lambda task, fn=fn, name=name: seen.append(name) or fn(task))
     psi = AdditiveChar.canonical(F7)
     e2 = make_ext(F7, 2)
     g = Poly.make(F7, (1, 2, 3))
+    h = Poly.make(e2, (1, 9, 3))  # 9 = 2 + Y lies outside k
     cases = [
-        (g, make_ext(F7, 1), "_count_part"),  # r = 1
-        (g, e2, "_count_orbits"),
-        (Poly.make(e2, (1, 9, 3)), e2, "_count_part"),  # 9 = 2 + Y lies outside k
+        (g, make_ext(F7, 1), None, "_count_part"),  # r = 1
+        (g, e2, None, "_count_orbits"),
+        (h, e2, None, "_count_part"),
+        # norm fibers, mu = 3
+        (h, e2, 3, "_count_coset"),
+        (g, e2, 3, "_count_orbits"),
+        (g, make_ext(F7, 1), 3, "_count_coset"),  # r = 1
     ]
-    for f, ext, walk in cases:
+    for f, ext, mu, walk in cases:
         seen.clear()
-        sum_additive(f, psi, ext)
+        if mu is None:
+            sum_additive(f, psi, ext)
+        else:
+            fiber_sum_additive(f, psi, ext, mu)
         assert set(seen) == {walk}
+
+
+# ---------------------------------------------------------------------------
+# the coset walk
+# ---------------------------------------------------------------------------
+
+
+# (p, s, r): the table flavour on a prime and on a composite base, and
+# r = 1 on the mod-p (F_1031) and generic (F_2048) flavours
+COSET_FIELDS = [(13, 1, 3), (3, 2, 3), (7, 1, 4), (1031, 1, 1), (2, 11, 1)]
+
+
+def _coset_counts(ext, mode, coeffs, mu, parts):
+    m = (ext.size - 1) // (ext.base.q - 1)
+    bounds = [i * m // parts for i in range(parts + 1)]
+    tasks = [(ext, mode, coeffs, None, mu, a, b) for a, b in zip(bounds, bounds[1:])]
+    return [sum(col) for col in zip(*map(_count_coset, tasks))]
+
+
+@pytest.mark.parametrize("p, s, r", COSET_FIELDS)
+@pytest.mark.parametrize("mode", ["S", "U"])
+def test_coset_walk_equals_filtered_full_walk_for_every_mu(p, s, r, mode):
+    base = make_field(p, s, seed=0)
+    ext = make_ext(base, r, seed=0)
+    # a coefficient outside k when r > 1, as the coset walk sees in use
+    g = random_poly(ext, 2, random.Random(p * 100 + r))
+    coeffs = _ext_coeff_tuples(g, ext)
+    for mu in range(1, base.q):
+        full = _count_part((ext, mode, coeffs, None, mu, 0, ext.size))
+        assert _coset_counts(ext, mode, coeffs, mu, 1) == full
+
+
+@pytest.mark.parametrize("p, s, r", COSET_FIELDS[:3])
+@pytest.mark.parametrize("parts", [3, 16])
+def test_coset_partitions_add_up_to_the_whole_coset(p, s, r, parts):
+    base = make_field(p, s, seed=0)
+    ext = make_ext(base, r, seed=0)
+    coeffs = _ext_coeff_tuples(random_poly(ext, 2, random.Random(p)), ext)
+    for mode in ("S", "U"):
+        for mu in range(1, base.q):
+            whole = _coset_counts(ext, mode, coeffs, mu, 1)
+            assert _coset_counts(ext, mode, coeffs, mu, parts) == whole
+            assert sum(whole) == (ext.size - 1) // (base.q - 1)

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -240,6 +241,24 @@ def test_elem_helper():
     assert elem(e2, (3, 2)).val == 3 + 2 * 7
     with pytest.raises(CtxMismatch):
         elem(e2, elem(f7, 1))
+
+
+@pytest.mark.parametrize("build", [lambda: make_field(3, 2), lambda: make_ext(make_field(7, 1), 2)])
+@pytest.mark.parametrize("shift", [-1, 0])
+def test_elem_and_poly_make_state_one_element_rule(build, shift):
+    # an integer names an element: reduced mod p on a prime field, a
+    # packed value in [0, size) elsewhere, with the same error from both
+    from charsums.polyring import Poly
+
+    ctx = build()
+    a = -1 if shift else ctx.size
+    msg = re.escape(f"a = {a} is not in [0, {ctx.size})")
+    with pytest.raises(ValueError, match=msg):
+        elem(ctx, a)
+    with pytest.raises(ValueError, match=msg):
+        Poly.make(ctx, (1, a))
+    f7 = make_field(7, 1)
+    assert elem(f7, a).val == Poly.make(f7, (a, 1)).coeffs[0] == a % 7
 
 
 def test_recipe_rebuild_identical():
