@@ -113,28 +113,18 @@ def _unit_roots(n: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * (k / n)) for k in range(n))
 
 
+@lru_cache(maxsize=None)
 def _psi_table(ctx: FieldCtx, b: int) -> list[complex]:
-    cache = ctx.__dict__.setdefault("_psi_tables", {})
-    tab = cache.get(b)
-    if tab is None:
-        zp = _unit_roots(ctx.p)
-        tab = [zp[ctx.abs_trace(ctx.mul(b, t)) % ctx.p] for t in range(ctx.q)]
-        cache[b] = tab
-    return tab
+    zp = _unit_roots(ctx.p)
+    return [zp[ctx.abs_trace(ctx.mul(b, t)) % ctx.p] for t in range(ctx.q)]
 
 
+@lru_cache(maxsize=None)
 def _chi_table(ctx: FieldCtx, j: int) -> list[complex]:
-    cache = ctx.__dict__.setdefault("_chi_tables", {})
-    tab = cache.get(j)
-    if tab is None:
-        m = ctx.q - 1
-        exp, log = ctx._dlog
-        roots = _unit_roots(m)
-        tab = [0j] * ctx.q
-        for x in range(1, ctx.q):
-            tab[x] = roots[(j * log[x]) % m]
-        cache[j] = tab
-    return tab
+    m = ctx.q - 1
+    _, log = ctx._dlog
+    roots = _unit_roots(m)
+    return [0j] + [roots[(j * log[x]) % m] for x in range(1, ctx.q)]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .boundbook import (
 from .charsum import (
     AdditiveChar,
     DEFAULT_CAP,
+    DOUBLE_CAP,
     MultChar,
     counting_identity_holds,
     double_sum_check,
@@ -48,7 +49,7 @@ from .charsum import (
     sum_additive,
     sum_multiplicative,
 )
-from .errors import CharsumsError, ConfigInvalid, Unsatisfiable
+from .errors import CharsumsError, ConfigInvalid, FieldTooLarge, Unsatisfiable
 from .ffield import is_prime, make_ext, make_field
 from .invariance import as_reduce, mth_power_test
 from .polyring import (
@@ -193,6 +194,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         if not isinstance(constraints, dict) or set(constraints) - set(CONSTRAINT_KEYS):
             errors.append(f"poly.constraints: allowed keys are {CONSTRAINT_KEYS}")
             constraints = {}
+        errors.extend(f"poly.constraints: {msg}" for msg in constraint_errors(constraints, d_list))
         if "seed" not in data:
             errors.append("seed: mandatory for random polynomial sources")
         if not d_list:
@@ -273,8 +275,26 @@ def parse_config(data: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def constraint_errors(constraints: dict, degrees) -> list[str]:
+    """Why no polynomial of some degree in `degrees` meets the constraints;
+    empty when none is ruled out.  An odd polynomial has only odd powers,
+    so its degree is odd and its constant term is zero."""
+    if not constraints.get("odd"):
+        return []
+    errors = []
+    even = [d for d in degrees if d % 2 == 0]
+    if even:
+        errors.append(f"odd needs an odd degree, got d = {', '.join(map(str, even))}")
+    if constraints.get("nonzero_constant"):
+        errors.append("odd and nonzero_constant exclude each other: an odd polynomial has a_0 = 0")
+    return errors
+
+
 def gen_poly(ctx, d: int, constraints: dict, rng: random.Random) -> Poly:
     """Random polynomial satisfying every requested constraint (verified)."""
+    errors = constraint_errors(constraints, [d])
+    if errors:
+        raise Unsatisfiable(errors[0])
     size = ctx.size
     want = {k: bool(constraints.get(k)) for k in CONSTRAINT_KEYS}
     for _ in range(GEN_RETRIES):
@@ -528,7 +548,12 @@ def check_identity(kind: str, p: int, s: int, r: int, seed: int, trials: int) ->
     lines = []
     base = make_field(p, s, seed=0)
     psi = AdditiveChar.canonical(base)
-    rng = random.Random(seed)
+    if kind in ("gauss", "orthogonality") and base.q**2 > DOUBLE_CAP:
+        raise FieldTooLarge(f"{kind} does q^2 = {base.q**2} steps, above the cap {DOUBLE_CAP}")
+    if base.q == 2 and kind in ("gauss", "reassembly-add", "reassembly-mult"):
+        raise ConfigInvalid(f"{kind} checks nothing on F_2, whose unit group is trivial")
+    if kind == "reassembly-mult" and base.q % 2 == 0:
+        raise ConfigInvalid(f"{kind} needs odd q: F_{base.q} has no quadratic character")
 
     if kind == "gauss":
         ok = True
@@ -567,21 +592,20 @@ def check_identity(kind: str, p: int, s: int, r: int, seed: int, trials: int) ->
     if kind in ("reassembly-add", "reassembly-mult"):
         ext = make_ext(base, r, seed=0)
         divisors = [e for e in range(2, base.q) if (base.q - 1) % e == 0][:3]
+        if kind == "reassembly-add":
+            char, total, fiber, at_zero = psi, sum_additive, fiber_sum_additive, ext.trace_to_base
+        else:
+            char, total, fiber = MultChar.quadratic(base), sum_multiplicative, fiber_sum_multiplicative
+            at_zero = ext.norm_to_base
         ok = True
         for e in divisors:
             n = (base.q - 1) // e
             for t in range(trials):
                 g = gen_poly(ext, 2, {}, random.Random(_row_seed(seed, e, t)))
                 mus = [mu for mu in range(1, base.q) if base.pow_(mu, e) == 1]
-                if kind == "reassembly-add":
-                    lhs = sum_additive(g, psi, ext, inner=("pow", n))
-                    rhs = psi.value(ext.trace_to_base(g.coeff(0)))
-                    rhs += sum(n * fiber_sum_additive(g, psi, ext, mu) for mu in mus)
-                else:
-                    chi = MultChar.quadratic(base)
-                    lhs = sum_multiplicative(g, chi, ext, inner=("pow", n))
-                    rhs = chi.value(ext.norm_to_base(g.coeff(0)))
-                    rhs += sum(n * fiber_sum_multiplicative(g, chi, ext, mu) for mu in mus)
+                lhs = total(g, char, ext, inner=("pow", n))
+                rhs = char.value(at_zero(g.coeff(0)))
+                rhs += sum(n * fiber(g, char, ext, mu) for mu in mus)
                 if abs(lhs - rhs) > tolerance(base.q, r):
                     ok = False
         lines.append(f"{'PASS' if ok else 'FAIL'} {kind}: e in {divisors}, r={r}, F_{base.q}")

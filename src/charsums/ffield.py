@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from types import SimpleNamespace
 
 from .errors import (
@@ -81,6 +81,19 @@ def factorize(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def power(mul, one, a, e: int):
+    """a^e for e >= 0 by square-and-multiply in any exact ring given by
+    its product `mul` and unit `one`; it stops after the top bit of e."""
+    result = one
+    while True:
+        if e & 1:
+            result = mul(result, a)
+        e >>= 1
+        if not e:
+            return result
+        a = mul(a, a)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +253,8 @@ class FieldCtx:
 
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
-            return self.pow_(self.inv(a), -e)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+            a, e = self.inv(a), -e
+        return power(self.mul, 1, a, e)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -581,17 +588,8 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         kmul = bmul
         kadd = badd
 
-    zero = (0,) * r
     one = (1,) + (0,) * (r - 1)
-
-    def epow(a, e):
-        result = one
-        while e:
-            if e & 1:
-                result = emul(result, a)
-            a = emul(a, a)
-            e >>= 1
-        return result
+    epow = partial(power, emul, one)
 
     # Frobenius matrix: FB[j] = (Y^q)^j mod m_r, as digit tuples.
     # x = sum x_j Y^j with x_j in k gives x^q = sum x_j (Y^q)^j.
@@ -647,9 +645,6 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         return acc[0]
 
     return SimpleNamespace(
-        r=r,
-        q=q,
-        flavor=flavor,
         emul=emul,
         eadd=eadd,
         esub=esub,
@@ -660,11 +655,7 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         enorm=enorm,
         kmul=kmul,
         kadd=kadd,
-        zero=zero,
         one=one,
-        red=red,
-        fb=fb,
-        trv=trv,
     )
 
 

@@ -75,8 +75,6 @@ def decompose_homothety(f: Poly, e: int) -> Poly:
             if i % n != 0:
                 raise NotInvariant(f"monomial x^{i} has exponent not divisible by {n}")
             out[i // n] = c
-    while out and out[-1] == 0:
-        out.pop()
     return Poly(ctx, tuple(out))
 
 
@@ -141,8 +139,6 @@ def as_reduce(f: Poly, psi: AdditiveChar) -> ASReduction:
         coeffs = list(g.coeffs)
         coeffs[d] = 0
         coeffs[e] = ctx.add(coeffs[e], ctx.mul(a, bd))
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
         g = Poly(ctx, tuple(coeffs))
         steps.append((d, e))
     d_prime = g.degree if g.degree >= 1 else 0

@@ -23,7 +23,7 @@ from .errors import (
     NoRootInField,
     PrecisionExhausted,
 )
-from .ffield import FieldCtx
+from .ffield import FieldCtx, power
 from .polyring import Poly
 
 
@@ -148,16 +148,9 @@ def t_inv(a: LaurentTail) -> LaurentTail:
 def t_pow(a: LaurentTail, e: int) -> LaurentTail:
     if e < 0:
         return t_pow(t_inv(a), -e)
-    ctx = a.ctx
-    result = from_poly(Poly.make(ctx, (1,)), min(a.o_exp - a.top_exp, -1))
     # exact constant 1 with plenty of precision; muls then narrow it
-    base = a
-    while e:
-        if e & 1:
-            result = t_mul(result, base)
-        base = t_mul(base, base)
-        e >>= 1
-    return result
+    one = from_poly(Poly.make(a.ctx, (1,)), min(a.o_exp - a.top_exp, -1))
+    return power(t_mul, one, a, e)
 
 
 def series_nth_root(a: LaurentTail, n: int, branch: int) -> LaurentTail:

@@ -1,10 +1,10 @@
 """Dense univariate polynomial arithmetic over a field context.
 
-Coefficients are stored ascending as packed field ints with trailing
-zeros trimmed, so degree == len(coeffs) - 1 and the zero polynomial has
-an empty coefficient tuple (degree -1).  Degrees stay small (a few
-hundred at most) in every workload, so all algorithms are the quadratic
-schoolbook ones.
+Coefficients are stored ascending as packed field ints.  `Poly` trims
+trailing zeros on construction, so degree == len(coeffs) - 1 however a
+polynomial was built, and the zero polynomial has an empty coefficient
+tuple (degree -1).  Degrees stay small (a few hundred at most) in every
+workload, so all algorithms are the quadratic schoolbook ones.
 """
 
 from __future__ import annotations
@@ -21,17 +21,26 @@ from .errors import (
     FieldTooLarge,
     ZeroPoly,
 )
-from .ffield import ExtCtx, FieldCtx, FqElem, element_value, factorize
+from .ffield import ExtCtx, FieldCtx, FqElem, element_value, factorize, power
 
 ROOT_ENUM_CAP = 10**6
 
 
 @dataclass(frozen=True)
 class Poly:
-    """Univariate polynomial; coeffs[i] is the packed coefficient of x^i."""
+    """Univariate polynomial; coeffs[i] is the packed coefficient of x^i,
+    with trailing zeros dropped on construction."""
 
     ctx: FieldCtx | ExtCtx
     coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        c = self.coeffs
+        n = len(c)
+        while n and not c[n - 1]:
+            n -= 1
+        if n < len(c):
+            object.__setattr__(self, "coeffs", c[:n])
 
     @staticmethod
     def make(ctx, coeffs) -> "Poly":
@@ -43,8 +52,6 @@ class Poly:
                 vals.append(c.val)
             else:
                 vals.append(element_value(ctx, c))
-        while vals and vals[-1] == 0:
-            vals.pop()
         return Poly(ctx, tuple(vals))
 
     @staticmethod
@@ -58,8 +65,6 @@ class Poly:
     @staticmethod
     def monomial(ctx, c, e: int) -> "Poly":
         c = c.val if isinstance(c, FqElem) else c
-        if c == 0:
-            return Poly(ctx, ())
         return Poly(ctx, (0,) * e + (c,))
 
     @property
@@ -87,19 +92,13 @@ class Poly:
         self._check(other)
         ops = self.ctx
         n = max(len(self.coeffs), len(other.coeffs))
-        out = [ops.add(self.coeff(i), other.coeff(i)) for i in range(n)]
-        while out and out[-1] == 0:
-            out.pop()
-        return Poly(self.ctx, tuple(out))
+        return Poly(self.ctx, tuple([ops.add(self.coeff(i), other.coeff(i)) for i in range(n)]))
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
         ops = self.ctx
         n = max(len(self.coeffs), len(other.coeffs))
-        out = [ops.sub(self.coeff(i), other.coeff(i)) for i in range(n)]
-        while out and out[-1] == 0:
-            out.pop()
-        return Poly(self.ctx, tuple(out))
+        return Poly(self.ctx, tuple([ops.sub(self.coeff(i), other.coeff(i)) for i in range(n)]))
 
     def __neg__(self) -> "Poly":
         ops = self.ctx
@@ -116,14 +115,10 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         out[i + j] = ops.add(out[i + j], ops.mul(a, b))
-        while out and out[-1] == 0:
-            out.pop()
         return Poly(self.ctx, tuple(out))
 
     def scale(self, c) -> "Poly":
         c = c.val if isinstance(c, FqElem) else c
-        if c == 0:
-            return Poly(self.ctx, ())
         ops = self.ctx
         return Poly(self.ctx, tuple(ops.mul(c, a) for a in self.coeffs))
 
@@ -188,10 +183,6 @@ def divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
             for j, gz in enumerate(g.coeffs):
                 if gz:
                     rem[i + j] = ops.sub(rem[i + j], ops.mul(c, gz))
-    while rem and rem[-1] == 0:
-        rem.pop()
-    while quot and quot[-1] == 0:
-        quot.pop()
     return Poly(f.ctx, tuple(quot)), Poly(f.ctx, tuple(rem))
 
 
@@ -212,8 +203,6 @@ def derivative(f: Poly) -> Poly:
     for i in range(1, len(f.coeffs)):
         k = i % p  # integer scalars act through the prime subfield
         out.append(ops.mul(k, f.coeffs[i]) if k and f.coeffs[i] else 0)
-    while out and out[-1] == 0:
-        out.pop()
     return Poly(f.ctx, tuple(out))
 
 
@@ -222,20 +211,13 @@ def compose(f: Poly, g: Poly) -> Poly:
     f._check(g)
     acc = Poly(f.ctx, ())
     for c in reversed(f.coeffs):
-        acc = acc * g + Poly(f.ctx, (c,) if c else ())
+        acc = acc * g + Poly(f.ctx, (c,))
     return acc
 
 
 def _powmod(a: Poly, e: int, m: Poly) -> Poly:
     """a^e mod m by square-and-multiply."""
-    result = Poly(m.ctx, (1,))
-    a = divrem(a, m)[1]
-    while e:
-        if e & 1:
-            result = divrem(result * a, m)[1]
-        a = divrem(a * a, m)[1]
-        e >>= 1
-    return result
+    return power(lambda u, v: divrem(u * v, m)[1], Poly(m.ctx, (1,)), divrem(a, m)[1], e)
 
 
 def is_irreducible(m: Poly) -> bool:
@@ -317,8 +299,6 @@ def shift(g: Poly, c) -> Poly:
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
             out[j] = ops.add(out[j], ops.mul(c, out[j + 1]))
-    while out and out[-1] == 0:
-        out.pop()
     return Poly(g.ctx, tuple(out))
 
 
@@ -362,8 +342,6 @@ def _pth_root_poly(f: Poly) -> Poly:
             out.append(ctx.pow_(c, q // p) if c else 0)
         else:
             assert c == 0, "not a p-th power"
-    while out and out[-1] == 0:
-        out.pop()
     return Poly(ctx, tuple(out))
 
 
@@ -503,8 +481,6 @@ def interpolate(ctx, points: list[int], values: list[int]) -> Poly:
         nxt += [ctx.add(lo, ctx.mul(c, hi)) for lo, hi in zip(acc, acc[1:])]
         nxt.append(acc[-1])
         acc = nxt
-    while acc and acc[-1] == 0:
-        acc.pop()
     return Poly(ctx, tuple(acc))
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,14 @@ def test_run_rejects_cap_overflow():
         ({"kind": "HomMult", "e": [2, 4, 0]}, "e"),
         ({"r": [1, 8, 30], "cap": 1 << 20}, "r"),  # 7^8 and 7^30 exceed the cap
         ({"r": [0, 2]}, "r"),
+        # odd zeroes a_4: each draw was a cubic reported as d = 4, which
+        # failed the improved bound of a quartic (121 > 109.4)
+        ({"p": 11, "r": [2], "d": [4], "seed": 0,
+          "poly": {"source": "random", "constraints": {"odd": True}}}, "poly.constraints"),
+        ({"d": [3, 2, 5, 6], "poly": {"source": "random", "constraints": {"odd": True}}},
+         "poly.constraints"),
+        ({"poly": {"source": "random", "constraints": {"odd": True, "nonzero_constant": True}}},
+         "poly.constraints"),
     ],
 )
 def test_parse_config_rejects_bad_e_r_and_cap_overflow(tmp_path, capsys, monkeypatch, over, field):
@@ -399,28 +408,40 @@ def test_golden_csv_bytes(name):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["check-identity", "double-sum", "--s", "0"],
-        ["check-identity", "double-sum", "--r", "0"],
-        ["check-identity", "counting", "--r", "0"],
-        ["check-identity", "reassembly-add", "--r", "-1"],
-        ["check-identity", "double-sum", "--trials", "0"],
-        ["check-identity", "reassembly-mult", "--trials", "-2"],
-        ["gen", "--p", "7", "--s", "0", "--d", "3", "--seed", "1"],
-        ["gen", "--p", "7", "--d", "0", "--seed", "1"],
-        ["gen", "--p", "7", "--d", "-3", "--seed", "1"],
+        (["check-identity", "double-sum", "--s", "0"], "--s must be >= 1"),
+        (["check-identity", "double-sum", "--r", "0"], "--r must be >= 1"),
+        (["check-identity", "counting", "--r", "0"], "--r must be >= 1"),
+        (["check-identity", "reassembly-add", "--r", "-1"], "--r must be >= 1"),
+        (["check-identity", "double-sum", "--trials", "0"], "--trials must be >= 1"),
+        (["check-identity", "reassembly-mult", "--trials", "-2"], "--trials must be >= 1"),
+        (["gen", "--p", "7", "--s", "0", "--d", "3", "--seed", "1"], "--s must be >= 1"),
+        (["gen", "--p", "7", "--d", "0", "--seed", "1"], "--d must be >= 1"),
+        (["gen", "--p", "7", "--d", "-3", "--seed", "1"], "--d must be >= 1"),
+        (["gen", "--p", "7", "--d", "2", "--seed", "0", "--odd"], "odd needs an odd degree"),
+        (["gen", "--p", "7", "--d", "3", "--seed", "0", "--odd", "--nonzero-constant"],
+         "exclude each other"),
+        (["check-identity", "gauss", "--p", "2"], "checks nothing on F_2"),
+        (["check-identity", "reassembly-add", "--p", "2"], "checks nothing on F_2"),
+        (["check-identity", "reassembly-mult", "--p", "2"], "checks nothing on F_2"),
+        (["check-identity", "reassembly-mult", "--p", "2", "--s", "2"], "no quadratic character"),
+        (["check-identity", "orthogonality", "--p", "2", "--s", "14"], "above the cap"),
     ],
     ids=["s-zero", "r-zero", "counting-r-zero", "r-negative", "trials-zero",
-         "trials-negative", "gen-s-zero", "gen-d-zero", "gen-d-negative"],
+         "trials-negative", "gen-s-zero", "gen-d-zero", "gen-d-negative", "gen-odd-even-d",
+         "gen-odd-nonzero-constant", "gauss-F2", "reassembly-add-F2", "reassembly-mult-F2",
+         "reassembly-mult-F4", "orthogonality-q2-cap"],
 )
-def test_bad_identity_and_gen_arguments_are_one_error_line(capsys, monkeypatch, argv):
+def test_bad_identity_and_gen_arguments_are_one_error_line(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "make_ext", lambda *a, **k: pytest.fail("an extension was built"))
-    monkeypatch.setattr(cli, "gen_poly", lambda *a, **k: pytest.fail("a polynomial was drawn"))
+    monkeypatch.setattr(cli, "random_poly", lambda *a, **k: pytest.fail("a polynomial was drawn"))
+    t0 = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "Traceback" not in captured.err and captured.out == ""
 
 
