@@ -2,21 +2,23 @@
 
 Every sum is sum_v c_v * chi(v) over v in k, where c_v counts the
 elements of k_r (or of a norm fiber) whose trace or norm index is v.
-The counts come from one of three walks.  When r > 1 and every
+The counts come from one of four walks.  When r > 1 and every
 coefficient of f lies in k, the summand is constant on each Frobenius
 orbit of k_r over k, so the orbit walk visits one element per orbit (a
 necklace of its coordinates in a normal basis) and adds the orbit's
 size.  Otherwise a norm fiber N(x) = mu is a coset x0 * <gamma^(q-1)> of
-the unit group, and the coset walk visits just its (q^r-1)/(q-1)
-elements, one product per step; and a whole-field sum takes the full
-walk over every element.  All three give the same exact integer
-counts.  Each index-range partition yields exact integer counts, which
-are added exactly and evaluated once in fixed order, so serial runs and
-worker pools produce bit-identical values.  A pool task carries the
-extension context itself; it pickles back into its `make_ext` call, so
-each worker builds a field once and reuses it for every later task.
-Multiplicative characters are only ever evaluated on the small base
-field k, after taking norms.
+the unit group, and the fiber coset walk visits just its (q^r-1)/(q-1)
+elements, one product per step; the pow plan x -> x^n is d-to-1 on the
+cyclic group k_r^* = <gamma> (d = gcd(n, q^r-1)), so the pow image walk
+visits its image <gamma^n> the same way, each point weighted d, and 0
+once; and any other sum takes the full walk over every element.  All
+four give the same exact integer counts.  Each index-range partition
+yields exact integer counts, which are added exactly and evaluated once
+in fixed order, so serial runs and worker pools produce bit-identical
+values.  A pool task carries the extension context itself; it pickles
+back into its `make_ext` call, so each worker builds a field once and
+reuses it for every later task.  Multiplicative characters are only
+ever evaluated on the small base field k, after taking norms.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice, product, repeat
+from itertools import accumulate, chain, islice, product, repeat
 
 from .errors import CtxMismatch, FieldTooLarge, NotABasis, ZeroMu
 # make_ext and make_field are unused here but stay importable from this
@@ -188,7 +190,10 @@ def _inner_fn(ko, inner):
 
     None: identity.  ("frobsub",): x^q - x.  ("pow", n): x^n.  All plans
     are exact field arithmetic, so any plan equals evaluating the
-    corresponding composed polynomial.  All commute with Frobenius.
+    corresponding composed polynomial.  The orbit, fiber coset and full
+    walks apply the plan to every point they visit (the orbit walk may,
+    since every plan commutes with Frobenius); the pow image walk visits
+    the values x^n themselves and applies the identity instead.
     """
     if inner is None:
         return lambda x: x
@@ -282,38 +287,54 @@ def _fiber_size(ext) -> int:
 
 
 def _fiber_coset(ext, mu) -> tuple:
-    """(x0, h) with the fiber N(x) = mu equal to the coset x0 * <h>.
+    """The fiber N(x) = mu as a coset walk (x0, h, m, 1, ()): x0 * <h>.
 
     With gamma = generator_r, N(gamma^i) = N(gamma)^i and N(gamma)
     generates k^*, so N is onto with kernel <gamma^(q-1)>, a subgroup of
-    order (q^r-1)/(q-1): take h = gamma^(q-1) and x0 = gamma^i0 where
+    order m = (q^r-1)/(q-1): take h = gamma^(q-1) and x0 = gamma^i0 where
     N(gamma)^i0 = mu, i0 read off the dlog table of k.  At r = 1 the
     fiber is {mu} and no dlog is needed.
     """
     ko = ext._kops
     if ext.r == 1:
-        return (mu,), ko.one
+        return (mu,), ko.one, 1, 1, ()
     q = ext.base.q
     gamma = ext.unpack(ext.generator_r)
     _, log = ext.base._dlog
     i0 = log[mu] * pow(log[ko.enorm(gamma)], -1, q - 1) % (q - 1)
-    return ko.epow(gamma, i0), ko.epow(gamma, q - 1)
+    return ko.epow(gamma, i0), ko.epow(gamma, q - 1), _fiber_size(ext), 1, ()
+
+
+def _pow_image(ext, n) -> tuple:
+    """The values of x -> x^n on k_r as a coset walk (1, h, m, d, ((0, 1),)).
+
+    k_r^* = <gamma> is cyclic, so x -> x^n is d-to-1 on it with
+    d = gcd(n, q^r-1), onto the subgroup <h>, h = gamma^n, of order
+    m = (q^r-1)/d; and 0^n = 0 for n >= 1, once.
+    """
+    ko = ext._kops
+    d = math.gcd(n, ext.size - 1)
+    h = ko.epow(ext.unpack(ext.generator_r), n)
+    return ko.one, h, (ext.size - 1) // d, d, ((ext.unpack(0), 1),)
 
 
 def _count_coset(task) -> list[int]:
-    """The coset walk: x0 * h^i for i in [start, stop), weight 1, with
-    (x0, h) from `_fiber_coset`, one product per step.
+    """The coset walk: x0 * h^i for i in [start, stop), each of weight w,
+    one product per step, for a coset (x0, h, m, w, extra) of m elements
+    from `_fiber_coset` or `_pow_image`.
 
     The part starts at x0 * h^start with one power.  The part that ends
-    the coset must step back onto x0, or the walk was not the fiber.
+    the coset also visits the `extra` (point, weight) pairs, and must
+    step back onto x0, or the walk was not the coset.
     """
-    ext, mode, coeffs, inner, mu, start, stop = task
+    ext, mode, coeffs, inner, (x0, h, m, w, extra), start, stop = task
     ko = ext._kops
-    x0, h = _fiber_coset(ext, mu)
     walk = accumulate(repeat(h, stop - start), ko.emul, initial=ko.emul(x0, ko.epow(h, start)))
-    counts = _tally(ext, mode, coeffs, inner, None, zip(islice(walk, stop - start), repeat(1)))
-    if stop == _fiber_size(ext) and next(walk) != x0:
-        raise RuntimeError(f"the coset walk of mu = {mu} did not return to its start")
+    last = stop == m
+    points = chain(zip(islice(walk, stop - start), repeat(w)), extra if last else ())
+    counts = _tally(ext, mode, coeffs, inner, None, points)
+    if last and next(walk) != x0:
+        raise RuntimeError(f"the coset walk from {x0} did not return to its start")
     return counts
 
 
@@ -327,15 +348,20 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
     """Check, count every term exactly, then evaluate sum_v c_v * char(v).
 
     For r > 1 and f over k the counts come from the orbit walk
-    (`_count_orbits`); otherwise a fiber sum takes the coset walk
-    (`_count_coset`) and any other sum the full walk (`_count_part`).  All
-    give the same exact histogram.  A pool splits each walk into as many
-    index ranges as `_part_ranges(q^r)` gives.
+    (`_count_orbits`).  Otherwise the coset walk (`_count_coset`) takes a
+    fiber sum over its fiber, and an S or U sum with the ("pow", n) plan
+    over the image of x -> x^n, which it then evaluates with the
+    identity plan; any other sum takes the full walk (`_count_part`).
+    All give the same exact histogram.  A pool splits each walk into as
+    many index ranges as `_part_ranges(q^r)` gives.
     """
     if mu is not None:
         mu = element_value(ext.base, mu.val if isinstance(mu, FqElem) else mu)
         if mu == 0:
             raise ZeroMu("norm fibers are indexed by nonzero mu")
+    powered = inner is not None and inner[0] == "pow"
+    if powered and inner[1] < 1:
+        raise ValueError(f"the pow plan needs an exponent n >= 1, got {inner[1]}")
     if char.ctx != ext.base:
         raise CtxMismatch("character not on the base field of the extension")
     n, q = ext.size, ext.base.q
@@ -346,18 +372,22 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
     ranges = _part_ranges(n)
     parallel = pool is not None and len(ranges) > 1
     parts = len(ranges) if parallel else 1
+    where = mu
     if ext.r > 1 and not any(any(c[1:]) for c in coeffs):  # f lies over k
         worker = _count_orbits
         ranges = _necklace_spans(q, ext.r, parts)
     elif mu is not None:
-        worker = _count_coset
-        if ext._kops.enorm(_fiber_coset(ext, mu)[0]) != mu:
+        worker, where = _count_coset, _fiber_coset(ext, mu)
+        if ext._kops.enorm(where[0]) != mu:
             raise RuntimeError(f"the coset of mu = {mu} starts outside its fiber")
-        m = _fiber_size(ext)
-        ranges = [(i * m // parts, (i + 1) * m // parts) for i in range(parts)]
+    elif powered and mode != "D":
+        worker, where, inner = _count_coset, _pow_image(ext, inner[1]), None
     else:
         worker = _count_part
-    tasks = [(ext, mode, coeffs, inner, mu, a, b) for a, b in ranges]
+    if worker is _count_coset:
+        m = where[2]
+        ranges = [(i * m // parts, (i + 1) * m // parts) for i in range(parts)]
+    tasks = [(ext, mode, coeffs, inner, where, a, b) for a, b in ranges]
     mapper = pool.map if parallel else map
     counts = [sum(col) for col in zip(*mapper(worker, tasks))]
     expected = terms if mu is None else _fiber_size(ext)
@@ -469,11 +499,16 @@ def counting_identity_holds(ext: ExtCtx, *, cap: int = 10**4) -> bool:
 
 
 def orthogonality_error(psi: AdditiveChar) -> float:
-    """max over u in k of |sum_t psi(u*t) - q*[u == 0]|."""
+    """max over u in k of |sum_t psi(u*t) - q*[u == 0]|.
+
+    For u != 0, t -> u*t permutes k, so every such row sums the same
+    multiset {psi(t)}, and `_csum` rounds it the same in any order: the
+    rows u = 0 and u = 1 give the maximum, bit for bit.
+    """
     ctx = psi.ctx
     tab = psi.table()
     worst = 0.0
-    for u in range(ctx.q):
+    for u in (0, 1):
         s = _csum(tab[ctx.mul(u, t)] for t in range(ctx.q))
         target = complex(ctx.q, 0) if u == 0 else 0j
         worst = max(worst, abs(s - target))

@@ -86,6 +86,8 @@ def factorize(n: int) -> list[int]:
 def power(mul, one, a, e: int):
     """a^e for e >= 0 by square-and-multiply in any exact ring given by
     its product `mul` and unit `one`; it stops after the top bit of e."""
+    if e < 0:
+        raise ValueError(f"power needs an exponent e >= 0, got {e}")
     result = one
     while True:
         if e & 1:

@@ -14,11 +14,14 @@ from charsums.charsum import (
     _count_coset,
     _count_orbits,
     _count_part,
+    _csum,
     _ext_coeff_tuples,
+    _fiber_coset,
     _necklace_count,
     _necklace_spans,
     _necklaces,
     _part_ranges,
+    _pow_image,
     counting_identity_holds,
     double_sum_check,
     fiber_sum_additive,
@@ -218,6 +221,15 @@ def test_inner_plan_is_bitwise_identical():
         g = random_poly(F7, 2, rng)
         f = compose(g, Poly.make(F7, tuple([0] * n + [1])))
         assert sum_additive(f, psi, e2) == sum_additive(g, psi, e2, inner=("pow", n))
+    # off the orbit walk, g outside k or r = 1, the pow plan takes the image walk
+    chi = MultChar.quadratic(F7)
+    for ext in (e2, make_ext(F7, 1)):
+        for n in (5, 6):
+            g = random_poly(ext, 2, rng)
+            assert ext.r == 1 or any(c >= 7 for c in g.coeffs)
+            f = compose(g, Poly.make(ext, tuple([0] * n + [1])))
+            assert sum_additive(f, psi, ext) == sum_additive(g, psi, ext, inner=("pow", n))
+            assert sum_multiplicative(f, chi, ext) == sum_multiplicative(g, chi, ext, inner=("pow", n))
 
 
 def test_counting_identity_and_orthogonality():
@@ -227,6 +239,16 @@ def test_counting_identity_and_orthogonality():
     for p in primes:
         ctx = make_field(p, 1)
         assert orthogonality_error(AdditiveChar.canonical(ctx)) < 1e-9 * p
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (7, 1), (3, 2), (2, 6), (5, 3), (11, 2)])
+def test_orthogonality_error_takes_the_maximum_over_every_row(p, s):
+    ctx = make_field(p, s, seed=0)
+    psi = AdditiveChar.canonical(ctx)
+    tab = psi.table()
+    rows = [_csum(tab[ctx.mul(u, t)] for t in range(ctx.q)) for u in range(ctx.q)]
+    every_row = max(abs(z - (ctx.q if u == 0 else 0)) for u, z in enumerate(rows))
+    assert orthogonality_error(psi) == every_row
 
 
 def test_sums_match_naive_reference():
@@ -297,7 +319,8 @@ def test_pool_and_serial_agree_bitwise():
     assert e7.size >= 1 << 14
     h = Poly.make(f4, (2, 1, 0, 1))
     psi4, chi4 = AdditiveChar.canonical(f4), MultChar.of_order(f4, 3)
-    # a coefficient outside k (packed 5 has digit 1 at Y^1) keeps the full walk
+    # a coefficient outside k (packed 5 has digit 1 at Y^1) keeps h7 off the
+    # orbit walk
     h7 = Poly.make(e7, (2, 5, 1))
     calls = [
         lambda pool: sum_additive(g, psi, e4, inner=("frobsub",), pool=pool),
@@ -305,7 +328,10 @@ def test_pool_and_serial_agree_bitwise():
         lambda pool: fiber_sum_additive(h, psi4, e7, 2, pool=pool),
         lambda pool: fiber_sum_multiplicative(h, chi4, e7, 3, pool=pool),
         lambda pool: double_sum_check(h, psi4, e7, pool=pool),
+        # the pow plan takes the image walk, split into partitions
         lambda pool: sum_additive(h7, psi4, e7, inner=("pow", 3), pool=pool),
+        # with no inner plan h7 takes the full walk, split into partitions
+        lambda pool: sum_additive(h7, psi4, e7, pool=pool),
         # fibers of h7 take the coset walk, split into partitions
         lambda pool: fiber_sum_additive(h7, psi4, e7, 2, pool=pool),
         lambda pool: fiber_sum_multiplicative(h7, chi4, e7, 3, pool=pool),
@@ -423,6 +449,17 @@ def test_enumerate_takes_the_orbit_walk_exactly_for_f_over_k(monkeypatch):
         else:
             fiber_sum_additive(f, psi, ext, mu)
         assert set(seen) == {walk}
+    # the pow plan, n = 3: the image walk unless the orbit walk applies
+    chi = MultChar.quadratic(F7)
+    for f, ext, walk in [
+        (h, e2, "_count_coset"),
+        (g, make_ext(F7, 1), "_count_coset"),  # r = 1
+        (g, e2, "_count_orbits"),
+    ]:
+        for total, char in ((sum_additive, psi), (sum_multiplicative, chi)):
+            seen.clear()
+            total(f, char, ext, inner=("pow", 3))
+            assert set(seen) == {walk}
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +472,15 @@ def test_enumerate_takes_the_orbit_walk_exactly_for_f_over_k(monkeypatch):
 COSET_FIELDS = [(13, 1, 3), (3, 2, 3), (7, 1, 4), (1031, 1, 1), (2, 11, 1)]
 
 
-def _coset_counts(ext, mode, coeffs, mu, parts):
-    m = (ext.size - 1) // (ext.base.q - 1)
+def _walk_counts(ext, mode, coeffs, coset, parts):
+    m = coset[2]
     bounds = [i * m // parts for i in range(parts + 1)]
-    tasks = [(ext, mode, coeffs, None, mu, a, b) for a, b in zip(bounds, bounds[1:])]
+    tasks = [(ext, mode, coeffs, None, coset, a, b) for a, b in zip(bounds, bounds[1:])]
     return [sum(col) for col in zip(*map(_count_coset, tasks))]
+
+
+def _coset_counts(ext, mode, coeffs, mu, parts):
+    return _walk_counts(ext, mode, coeffs, _fiber_coset(ext, mu), parts)
 
 
 @pytest.mark.parametrize("p, s, r", COSET_FIELDS)
@@ -466,3 +507,59 @@ def test_coset_partitions_add_up_to_the_whole_coset(p, s, r, parts):
             whole = _coset_counts(ext, mode, coeffs, mu, 1)
             assert _coset_counts(ext, mode, coeffs, mu, parts) == whole
             assert sum(whole) == (ext.size - 1) // (base.q - 1)
+
+
+# ---------------------------------------------------------------------------
+# the pow image walk
+# ---------------------------------------------------------------------------
+
+
+# (p, s, r): the table flavour on a prime and on a composite base, and
+# r = 1 on the mod-p (F_1031) and generic (F_2048) flavours
+POW_FIELDS = [(13, 1, 3), (2, 2, 5), (1031, 1, 1), (2, 11, 1)]
+
+
+def _exponents(units: int) -> list[int]:
+    """An n with gcd(n, units) = 1, one with a gcd above 1, and units
+    itself, whose image is {1}."""
+    coprime = next(n for n in range(2, units) if math.gcd(n, units) == 1)
+    shared = next(n for n in range(2, units) if math.gcd(n, units) > 1)
+    return [coprime, shared, units]
+
+
+@pytest.mark.parametrize("p, s, r", POW_FIELDS)
+@pytest.mark.parametrize("mode", ["S", "U"])
+def test_pow_image_walk_equals_full_walk(p, s, r, mode):
+    base = make_field(p, s, seed=0)
+    ext = make_ext(base, r, seed=0)
+    units = ext.size - 1
+    # a coefficient outside k when r > 1, as the image walk sees in use
+    g = random_poly(ext, 2, random.Random(p * 100 + r))
+    coeffs = _ext_coeff_tuples(g, ext)
+    ns = _exponents(units)
+    assert [math.gcd(n, units) > 1 for n in ns] == [False, True, True]
+    for n in ns:
+        full = _count_part((ext, mode, coeffs, ("pow", n), None, 0, ext.size))
+        image = _pow_image(ext, n)
+        assert image[2] * image[3] == units
+        for parts in (1, 3, 16):
+            assert _walk_counts(ext, mode, coeffs, image, parts) == full, (n, parts)
+
+
+def test_pow_exponent_below_one_is_rejected_before_enumeration(monkeypatch):
+    import charsums.charsum as cs
+
+    def no_walk(task):
+        raise AssertionError("enumerated")
+
+    for name in ("_count_part", "_count_orbits", "_count_coset"):
+        monkeypatch.setattr(cs, name, no_walk)
+    e2 = make_ext(F7, 2)
+    g = Poly.make(F7, (1, 2, 3))
+    h = Poly.make(e2, (1, 9, 3))
+    for n in (0, -1, -5):
+        for f, ext in ((g, e2), (h, e2), (g, make_ext(F7, 1))):
+            with pytest.raises(ValueError, match="n >= 1"):
+                sum_additive(f, AdditiveChar.canonical(F7), ext, inner=("pow", n))
+            with pytest.raises(ValueError, match="n >= 1"):
+                sum_multiplicative(f, MultChar.quadratic(F7), ext, inner=("pow", n))

@@ -19,7 +19,7 @@ from charsums import (
     trace,
 )
 from charsums.errors import CtxMismatch, NotPrime, Overflow, ZeroElement
-from charsums.ffield import _kops_flavor, rank_over
+from charsums.ffield import _kops_flavor, power, rank_over
 
 
 def test_prime_field_has_no_modulus():
@@ -373,3 +373,13 @@ def test_normal_element_is_the_same_on_every_call_and_in_a_worker():
     with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
         child = pool.submit(getattr, ext, "normal_element").result()
     assert child == ext.normal_element == ext.normal_element
+
+
+def test_power_rejects_a_negative_exponent():
+    mul = make_field(7, 1).mul
+    for e in (-1, -2, -(1 << 40)):
+        with pytest.raises(ValueError, match="e >= 0"):
+            power(mul, 1, 3, e)
+    assert power(mul, 1, 3, 0) == 1
+    # negative exponents stay with the callers that invert first
+    assert make_field(7, 1).pow_(3, -1) == 5
