@@ -233,7 +233,7 @@ def main_term_multiplicative(
     ctx = g.ctx
     if d != g.degree:
         raise ValueError("degree mismatch")
-    if (d * (chi.j % (ctx.q - 1))) % (ctx.q - 1) != 0:
+    if d % chi.order != 0:
         raise NotExceptionalCell("chi^d must be trivial")
     if g.coeff(d - 1) != 0:
         raise NotExceptionalCell("needs a_{d-1} = 0")
@@ -257,6 +257,13 @@ def main_term_multiplicative(
 # ---------------------------------------------------------------------------
 
 
+def centring_shift(g: Poly) -> int:
+    """c = -a_{d-1} / (d a_d), the shift that kills the x^(d-1) term of g(x+c)."""
+    ctx = g.ctx
+    d = g.degree
+    return ctx.neg(ctx.mul(g.coeff(d - 1), ctx.inv(ctx.mul(d % ctx.p, g.lead))))
+
+
 def odd_shift_data(g: Poly) -> tuple[bool, int | None, int | None]:
     """Does some g(x+c) + delta become odd?  Returns (exists, c, beta).
 
@@ -267,7 +274,7 @@ def odd_shift_data(g: Poly) -> tuple[bool, int | None, int | None]:
     d = g.degree
     if d % 2 == 0:
         return False, None, None
-    c = ctx.neg(ctx.mul(g.coeff(d - 1), ctx.inv(ctx.mul(d % ctx.p, g.lead))))
+    c = centring_shift(g)
     h = shift(g, c)
     for i in range(2, d, 2):
         if h.coeff(i) != 0:
@@ -433,7 +440,7 @@ def report_translation_multiplicative(
         Hypothesis("g square-free", not g.is_zero and is_squarefree(g), ""),
     ]
     bound = float(bound_constant_multiplicative(d, r)) * q ** ((r + 1) / 2)
-    chi_d_trivial = (d * chi.j) % (q - 1) == 0
+    chi_d_trivial = d % chi.order == 0
     exceptional = r == d and chi_d_trivial and g.coeff(d - 1) == 0
 
     if not exceptional:
@@ -455,8 +462,7 @@ def report_translation_multiplicative(
         )
     )
     hyps.append(Hypothesis("p > 2d+1", p > 2 * d + 1, f"p = {p}"))
-    cshift = ctx.neg(ctx.mul(g.coeff(d - 1), ctx.inv(ctx.mul(d % p, g.lead))))
-    h = shift(g, cshift)
+    h = shift(g, centring_shift(g))
     par = parity_check(h)
     if d % 2 == 1:
         hyps.append(Hypothesis("h not odd (d odd)", par != Parity.ODD, f"parity = {par.value}"))
@@ -511,30 +517,15 @@ def report_homothety_multiplicative(g: Poly, chi: MultChar, e: int, ext: ExtCtx)
         Hypothesis("d prime to p", d >= 1 and d % p != 0, f"d = {d}, p = {p}"),
         Hypothesis("e divides q-1", e >= 1 and (q - 1) % e == 0, f"e = {e}"),
         Hypothesis("g square-free", is_squarefree(g), ""),
-        Hypothesis("chi^d nontrivial", (d * chi.j) % (q - 1) != 0, f"m = {m}, d = {d}"),
+        Hypothesis("chi^d nontrivial", d % m != 0, f"m = {m}, d = {d}"),
     ]
     if a:
         d0 = g0.degree
         hyps.append(
             Hypothesis(
                 "chi^(d-a) nontrivial after removing x^a",
-                (d0 * chi.j) % (q - 1) != 0,
+                d0 % m != 0,
                 f"a = {a}, deg g0 = {d0}",
             )
         )
     return _finish("HomMult", homothety_bound(d, q, r), None, hyps)
-
-
-def hypothesis_gate(kind: str, **kwargs) -> list[Hypothesis]:
-    """Evaluate the named hypotheses for a theorem kind; never raises."""
-    builders = {
-        "WeilAdd": report_weil_additive,
-        "WeilMult": report_weil_multiplicative,
-        "TransAdd": report_translation_additive,
-        "TransMult": report_translation_multiplicative,
-        "HomAdd": report_homothety_additive,
-        "HomMult": report_homothety_multiplicative,
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown theorem kind {kind!r}")
-    return builders[kind](**kwargs).hypotheses

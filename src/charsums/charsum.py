@@ -33,7 +33,7 @@ from itertools import accumulate, chain, islice, product, repeat
 from .errors import CtxMismatch, FieldTooLarge, NotABasis, ZeroMu
 # make_ext and make_field are unused here but stay importable from this
 # module: perfbench/tracer.py rebinds them here to time field construction
-from .ffield import ExtCtx, FieldCtx, FqElem, element_value, make_ext, make_field, rank_over
+from .ffield import ExtCtx, FieldCtx, FqElem, elem, make_ext, make_field, rank_over
 from .polyring import Poly, evaluate, lift
 
 DEFAULT_CAP = 1 << 24
@@ -66,8 +66,7 @@ class AdditiveChar:
         return _psi_table(self.ctx, self.b)
 
     def value(self, t) -> complex:
-        t = t.val if isinstance(t, FqElem) else t
-        return self.table()[t]
+        return self.table()[elem(self.ctx, t).val]
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,7 @@ class MultChar:
         return _chi_table(self.ctx, self.j)
 
     def value(self, x) -> complex:
-        x = x.val if isinstance(x, FqElem) else x
-        return self.table()[x]
+        return self.table()[elem(self.ctx, x).val]
 
 
 @lru_cache(maxsize=64)
@@ -115,13 +113,13 @@ def _unit_roots(n: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * (k / n)) for k in range(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _psi_table(ctx: FieldCtx, b: int) -> list[complex]:
     zp = _unit_roots(ctx.p)
     return [zp[ctx.abs_trace(ctx.mul(b, t)) % ctx.p] for t in range(ctx.q)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _chi_table(ctx: FieldCtx, j: int) -> list[complex]:
     m = ctx.q - 1
     _, log = ctx._dlog
@@ -356,7 +354,7 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
     many index ranges as `_part_ranges(q^r)` gives.
     """
     if mu is not None:
-        mu = element_value(ext.base, mu.val if isinstance(mu, FqElem) else mu)
+        mu = elem(ext.base, mu).val
         if mu == 0:
             raise ZeroMu("norm fibers are indexed by nonzero mu")
     powered = inner is not None and inner[0] == "pow"

@@ -12,8 +12,9 @@ raw digit tuples through the closures built by `ExtCtx._kops`.
 Extensions are represented relative to the base field k (k_r =
 k[Y]/(m_r)), not rebuilt over F_p, so trace and norm relative to k come
 out as Frobenius sums/products directly.  F_{p^s} (s > 1) is itself the
-degree-s extension of F_p, so its arithmetic and lookup tables come from
-that extension's kernel, with the same packing.  `make_field` and
+degree-s extension of F_p, with the same packing; its add/mul/neg
+tables, stored up to TABLE_CAP and computed above it by that extension,
+serve FieldCtx and the kernel.  `make_field` and
 `make_ext` share one seeded search for modulus and generator (the
 modulus by `polyring.is_irreducible`), and return one context per
 argument tuple; a context pickles back into that call.  Both contexts
@@ -26,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import accumulate, repeat
 from types import SimpleNamespace
 
 from .errors import (
@@ -36,7 +38,8 @@ from .errors import (
     ZeroElement,
 )
 
-# full add/mul lookup tables are built for base fields up to this size
+# add/mul/neg tables are stored for fields up to this size, and computed
+# on lookup above it (F_{p^s}) or replaced by plain ints mod p (F_p)
 TABLE_CAP = 1024
 # discrete-log tables (and hence multiplicative character evaluation on k)
 DLOG_CAP = 1 << 22
@@ -136,6 +139,18 @@ def _extension(base: "FieldCtx", r: int, rng, seed: int) -> "ExtCtx":
 # ---------------------------------------------------------------------------
 
 
+class _Computed:
+    """A read-only table whose entries are computed on lookup: t[a] = f(a)."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __getitem__(self, a):
+        return self.f(a)
+
+
 @dataclass(frozen=True)
 class FieldCtx:
     """Descriptor of k = F_q = F_p[X]/(m(X)); immutable and shareable.
@@ -176,40 +191,44 @@ class FieldCtx:
 
     # -- cached structure --------------------------------------------------
     # For s > 1, make_field sets `_ext`: this field as the degree-s
-    # extension of F_p (same packing), whose kernel does the arithmetic.
+    # extension of F_p (same packing), which fills the tables below.
     # It is private and never handed out: it pickles as a make_ext call,
     # which would build a different modulus.
 
     def _ext_table(self, op: str):
-        # q x q table of an extension-kernel operation on digit tuples
+        # tab[a][b] = op(a, b) by the extension kernel: q x q stored lists up
+        # to TABLE_CAP, and above it rows computed on lookup, never stored
         ext = self._ext
-        f, pack = getattr(ext._kops, op), ext.pack
+        if self.q > TABLE_CAP:
+            f = getattr(ext, op)
+            return _Computed(lambda a: _Computed(partial(f, a)))
+        f, pack = getattr(ext._kops, "e" + op), ext.pack
         vecs = [ext.unpack(a) for a in range(self.q)]
         return [[pack(f(va, vb)) for vb in vecs] for va in vecs]
 
+    # _add_tab, _mul_tab and _neg_tab serve every field but a prime one
+    # above TABLE_CAP, which has none (None) and computes mod p instead
     @cached_property
     def _mul_tab(self):
-        if self.q > TABLE_CAP:
-            return None
-        if self.s == 1:
-            p = self.p
-            return [[a * b % p for b in range(p)] for a in range(p)]
-        return self._ext_table("emul")
+        if self.s > 1:
+            return self._ext_table("mul")
+        p = self.p
+        return [[a * b % p for b in range(p)] for a in range(p)] if p <= TABLE_CAP else None
 
     @cached_property
     def _add_tab(self):
-        if self.q > TABLE_CAP:
-            return None
-        if self.s == 1:
-            p = self.p
-            return [[(a + b) % p for b in range(p)] for a in range(p)]
-        return self._ext_table("eadd")
+        if self.s > 1:
+            return self._ext_table("add")
+        p = self.p
+        return [[(a + b) % p for b in range(p)] for a in range(p)] if p <= TABLE_CAP else None
 
     @cached_property
     def _neg_tab(self):
-        if self.q > TABLE_CAP:
-            return None
-        return [self.neg(a) for a in range(self.q)]
+        if self.s > 1:
+            neg = partial(self._ext.sub, 0)
+            return _Computed(neg) if self.q > TABLE_CAP else [neg(a) for a in range(self.q)]
+        p = self.p
+        return [-a % p for a in range(p)] if p <= TABLE_CAP else None
 
     @cached_property
     def _dlog(self):
@@ -230,28 +249,22 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.s == 1:
             return (a + b) % self.p
-        tab = self._add_tab
-        if tab is not None:
-            return tab[a][b]
-        return self._ext.add(a, b)
+        return self._add_tab[a][b]
 
     def sub(self, a: int, b: int) -> int:
         if self.s == 1:
             return (a - b) % self.p
-        return self.add(a, self.neg(b))
+        return self._add_tab[a][self._neg_tab[b]]
 
     def neg(self, a: int) -> int:
         if self.s == 1:
             return -a % self.p
-        return self._ext.neg(a)
+        return self._neg_tab[a]
 
     def mul(self, a: int, b: int) -> int:
         if self.s == 1:
             return a * b % self.p
-        tab = self._mul_tab
-        if tab is not None:
-            return tab[a][b]
-        return self._ext.mul(a, b)
+        return self._mul_tab[a][b]
 
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
@@ -393,8 +406,7 @@ class ExtCtx:
         return self.pack(k.esub(self.unpack(a), self.unpack(b)))
 
     def neg(self, a: int) -> int:
-        k = self._kops
-        return self.pack(k.eneg(self.unpack(a)))
+        return self.sub(0, a)
 
     def mul(self, a: int, b: int) -> int:
         k = self._kops
@@ -452,6 +464,9 @@ def rank_over(base: FieldCtx, rows) -> int:
 
 
 def _kops_flavor(base: FieldCtx) -> str:
+    """How the kernel over `base` computes in k: "table" for stored tables
+    (q <= TABLE_CAP), "modp" for a larger prime field and "generic" for a
+    larger F_{p^s}, whose tables are computed on lookup."""
     if base.q <= TABLE_CAP:
         return "table"
     if base.s == 1:
@@ -462,14 +477,13 @@ def _kops_flavor(base: FieldCtx) -> str:
 def _build_kops(ext: ExtCtx) -> SimpleNamespace:
     """Build the closure set used by enumeration kernels.
 
-    Three base-op flavors: full lookup tables (q <= 1024), direct mod-p
-    ints (prime base fields of any size), and generic callables (large
-    non-prime base fields; correct but slow).
+    Two bodies: plain ints mod p for a prime base field above TABLE_CAP,
+    and otherwise lookups in the base field's `_add_tab`, `_mul_tab` and
+    `_neg_tab`, stored or computed (see `_kops_flavor`).
     """
     base = ext.base
     r = ext.r
     q = base.q
-    flavor = _kops_flavor(base)
 
     mod_digits = list(ext.modulus_r)
 
@@ -488,7 +502,37 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
             prev = nxt
     red = tuple(red)
 
-    if flavor == "table":
+    if _kops_flavor(base) == "modp":
+        p = base.p
+
+        def emul(a, b):
+            t = [0] * (2 * r - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        t[i + j] += ai * bj
+            for idx in range(2 * r - 2, r - 1, -1):
+                c = t[idx] % p
+                if c:
+                    row = red[idx - r]
+                    for j, rv in enumerate(row):
+                        if rv:
+                            t[j] += c * rv
+            return tuple([v % p for v in t[:r]])
+
+        def eadd(a, b):
+            return tuple([(x + y) % p for x, y in zip(a, b)])
+
+        def esub(a, b):
+            return tuple([(x - y) % p for x, y in zip(a, b)])
+
+        def kmul(a, b):
+            return a * b % p
+
+        def kadd(a, b):
+            return (a + b) % p
+
+    else:
         mt = base._mul_tab
         at = base._add_tab
         nt = base._neg_tab
@@ -517,94 +561,19 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         def esub(a, b):
             return tuple([at[x][nt[y]] for x, y in zip(a, b)])
 
-        def eneg(a):
-            return tuple([nt[x] for x in a])
-
         def kmul(a, b):
             return mt[a][b]
 
         def kadd(a, b):
             return at[a][b]
 
-    elif flavor == "modp":
-        p = base.p
-
-        def emul(a, b):
-            t = [0] * (2 * r - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        t[i + j] += ai * bj
-            for idx in range(2 * r - 2, r - 1, -1):
-                c = t[idx] % p
-                if c:
-                    row = red[idx - r]
-                    for j, rv in enumerate(row):
-                        if rv:
-                            t[j] += c * rv
-            return tuple([v % p for v in t[:r]])
-
-        def eadd(a, b):
-            return tuple([(x + y) % p for x, y in zip(a, b)])
-
-        def esub(a, b):
-            return tuple([(x - y) % p for x, y in zip(a, b)])
-
-        def eneg(a):
-            return tuple([-x % p for x in a])
-
-        def kmul(a, b):
-            return a * b % p
-
-        def kadd(a, b):
-            return (a + b) % p
-
-    else:
-        badd, bmul, bneg = base.add, base.mul, base.neg
-
-        def emul(a, b):
-            t = [0] * (2 * r - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            t[i + j] = badd(t[i + j], bmul(ai, bj))
-            for idx in range(2 * r - 2, r - 1, -1):
-                c = t[idx]
-                if c:
-                    row = red[idx - r]
-                    for j, rv in enumerate(row):
-                        if rv:
-                            t[j] = badd(t[j], bmul(c, rv))
-            return tuple(t[:r])
-
-        def eadd(a, b):
-            return tuple(badd(x, y) for x, y in zip(a, b))
-
-        def esub(a, b):
-            return tuple(base.sub(x, y) for x, y in zip(a, b))
-
-        def eneg(a):
-            return tuple(bneg(x) for x in a)
-
-        kmul = bmul
-        kadd = badd
-
     one = (1,) + (0,) * (r - 1)
     epow = partial(power, emul, one)
 
     # Frobenius matrix: FB[j] = (Y^q)^j mod m_r, as digit tuples.
     # x = sum x_j Y^j with x_j in k gives x^q = sum x_j (Y^q)^j.
-    if r == 1:
-        fb = (one,)
-    else:
-        yq = epow((0, 1) + (0,) * (r - 2), q)
-        fb = [one, yq]
-        cur = yq
-        for _ in range(r - 2):
-            cur = emul(cur, yq)
-            fb.append(cur)
-        fb = tuple(fb)
+    yq = epow((0, 1) + (0,) * (r - 2), q) if r > 1 else one
+    fb = tuple(accumulate(repeat(yq, r - 1), emul, initial=one))
 
     def _scale_add(acc, c, row):
         # acc += c * row, digitwise in k
@@ -650,7 +619,6 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         emul=emul,
         eadd=eadd,
         esub=esub,
-        eneg=eneg,
         epow=epow,
         efrob=efrob,
         etr=etr,
@@ -741,14 +709,24 @@ def element_value(ctx, a: int) -> int:
 
 
 def elem(ctx, value) -> FqElem:
-    """Wrap a packed int (or coefficient iterable) as an FqElem."""
+    """Wrap an FqElem of ctx, an int (read by `element_value`) or a digit
+    vector as an FqElem.  A vector has at most as many digits as ctx has
+    (s over F_p, r over k), each read by the rule of its digit field: a
+    residue mod p over a prime one, else a packed value in [0, q)."""
     if isinstance(value, FqElem):
         if value.ctx != ctx:
             raise CtxMismatch("element from another field")
         return value
     if isinstance(value, int):
         return FqElem(ctx, element_value(ctx, value))
-    return FqElem(ctx, ctx.pack(value))
+    digits = list(value)
+    if isinstance(ctx, ExtCtx):
+        width, digits = ctx.r, [element_value(ctx.base, d) for d in digits]
+    else:
+        width = ctx.s  # FieldCtx.pack reads each digit mod p
+    if len(digits) > width:
+        raise ValueError(f"{len(digits)} digits, but {ctx!r} has {width}")
+    return FqElem(ctx, ctx.pack(digits))
 
 
 def trace(x: FqElem, ext: ExtCtx) -> FqElem:

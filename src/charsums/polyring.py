@@ -21,7 +21,7 @@ from .errors import (
     FieldTooLarge,
     ZeroPoly,
 )
-from .ffield import ExtCtx, FieldCtx, FqElem, element_value, factorize, power
+from .ffield import ExtCtx, FieldCtx, FqElem, elem, factorize, power
 
 ROOT_ENUM_CAP = 10**6
 
@@ -44,15 +44,7 @@ class Poly:
 
     @staticmethod
     def make(ctx, coeffs) -> "Poly":
-        vals = []
-        for c in coeffs:
-            if isinstance(c, FqElem):
-                if c.ctx != ctx:
-                    raise CtxMismatch("coefficient from another field")
-                vals.append(c.val)
-            else:
-                vals.append(element_value(ctx, c))
-        return Poly(ctx, tuple(vals))
+        return Poly(ctx, tuple(elem(ctx, c).val for c in coeffs))
 
     @staticmethod
     def zero(ctx) -> "Poly":
@@ -64,8 +56,7 @@ class Poly:
 
     @staticmethod
     def monomial(ctx, c, e: int) -> "Poly":
-        c = c.val if isinstance(c, FqElem) else c
-        return Poly(ctx, (0,) * e + (c,))
+        return Poly(ctx, (0,) * e + (elem(ctx, c).val,))
 
     @property
     def degree(self) -> int:
@@ -118,8 +109,8 @@ class Poly:
         return Poly(self.ctx, tuple(out))
 
     def scale(self, c) -> "Poly":
-        c = c.val if isinstance(c, FqElem) else c
         ops = self.ctx
+        c = elem(ops, c).val
         return Poly(self.ctx, tuple(ops.mul(c, a) for a in self.coeffs))
 
     def monic(self) -> "Poly":
@@ -289,7 +280,7 @@ def discriminant(g: Poly) -> FqElem:
 
 def shift(g: Poly, c) -> Poly:
     """g(x + c) by iterated synthetic translation (exact binomial expansion)."""
-    c = c.val if isinstance(c, FqElem) else c
+    c = elem(g.ctx, c).val
     if c == 0 or g.is_zero:
         return g
     ops = g.ctx

@@ -15,7 +15,6 @@ from charsums.boundbook import (
     bound_constant_multiplicative,
     homothety_bound,
     homothety_fiber_bound,
-    hypothesis_gate,
     main_term_additive_sl,
     main_term_additive_sp,
     main_term_multiplicative,
@@ -435,7 +434,7 @@ def test_report_json_roundtrip():
 
 def test_hypothesis_gate_dispatch():
     psi = AdditiveChar.canonical(F7)
-    hyps = hypothesis_gate("TransAdd", g=Poly.make(F7, (1, 0, 1, 1)), psi=psi, r=2)
+    hyps = report_translation_additive(Poly.make(F7, (1, 0, 1, 1)), psi, 2).hypotheses
     assert any("p > d" in h.name for h in hyps)
     rep = report_weil_additive(3, 7, 2)
     assert rep.applicable and rep.bound == pytest.approx(14.0)

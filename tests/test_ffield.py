@@ -19,7 +19,7 @@ from charsums import (
     trace,
 )
 from charsums.errors import CtxMismatch, NotPrime, Overflow, ZeroElement
-from charsums.ffield import _kops_flavor, power, rank_over
+from charsums.ffield import TABLE_CAP, _kops_flavor, power, rank_over
 
 
 def test_prime_field_has_no_modulus():
@@ -383,3 +383,109 @@ def test_power_rejects_a_negative_exponent():
     assert power(mul, 1, 3, 0) == 1
     # negative exponents stay with the callers that invert first
     assert make_field(7, 1).pow_(3, -1) == 5
+
+
+# the base field's add/mul/neg tables: stored lists up to TABLE_CAP,
+# computed on lookup above it, and none at all for a large prime field
+F37_2 = (37, 2)
+F2_11 = (2, 11)
+
+
+@pytest.mark.parametrize("ps", [F37_2, F2_11])
+def test_computed_tables_equal_the_extension_ops(ps):
+    k = make_field(*ps)
+    ext = k._ext
+    rng = random.Random(11)
+    for _ in range(200):
+        a, b = rng.randrange(k.q), rng.randrange(k.q)
+        assert k.add(a, b) == ext.add(a, b)
+        assert k.sub(a, b) == ext.sub(a, b)
+        assert k.neg(a) == ext.neg(a)
+        assert k.mul(a, b) == ext.mul(a, b)
+
+
+@pytest.mark.parametrize("ps", [F37_2, F2_11, (1031, 1)])
+def test_no_table_is_stored_above_the_cap(ps):
+    k = make_field(*ps)
+    assert k.q > TABLE_CAP
+    ext = make_ext(k, 2)
+    ko = ext._kops  # the kernel has read every table it uses
+    x = ext.unpack(ext.generator_r)
+    assert ko.epow(x, ext.size - 1) == ko.one
+    assert k.mul(7, k.add(3, 5)) == k.sub(k.mul(7, 3), k.neg(k.mul(7, 5)))
+    for tab in (k._add_tab, k._mul_tab, k._neg_tab):
+        assert not isinstance(tab, list)
+        assert (tab is None) == (k.s == 1)
+
+
+@pytest.mark.parametrize("ps", [(3, 2), (2, 6), (2, 10)])
+def test_stored_neg_table_equals_the_extension_neg(ps):
+    k = make_field(*ps)
+    assert k.q <= TABLE_CAP and isinstance(k._neg_tab, list)
+    assert k._neg_tab == [k._ext.neg(a) for a in range(k.q)]
+
+
+def test_kernel_over_computed_tables_matches_polyring():
+    # r = 2 over F_{37^2}: products mod m_r, x^q by _powmod, and trace and
+    # norm as the sum and product of the conjugates x, x^q
+    from charsums.polyring import Poly, _powmod, divrem
+
+    k = make_field(*F37_2)
+    assert _kops_flavor(k) == "generic"
+    ext = make_ext(k, 2)
+    ko = ext._kops
+    m = Poly(k, ext.modulus_r)
+
+    def digits(f):
+        return tuple(f.coeff(i) for i in range(ext.r))
+
+    rng = random.Random(3)
+    for _ in range(50):
+        a = tuple(rng.randrange(k.q) for _ in range(ext.r))
+        b = tuple(rng.randrange(k.q) for _ in range(ext.r))
+        pa, pb = Poly(k, a), Poly(k, b)
+        assert ko.emul(a, b) == digits(divrem(pa * pb, m)[1])
+        assert ko.esub(a, b) == digits(pa - pb)
+        conj = _powmod(pa, k.q, m)
+        assert ko.efrob(a) == digits(conj)
+        assert digits(pa + conj) == (ko.etr(a), 0)
+        assert digits(divrem(pa * conj, m)[1]) == (ko.enorm(a), 0)
+
+
+def _foreign_and_out_of_range_rows():
+    from charsums.charsum import AdditiveChar, MultChar, fiber_sum_additive
+    from charsums.polyring import Poly, shift
+
+    f7, f13, f9 = make_field(7, 1), make_field(13, 1), make_field(3, 2)
+    e72 = make_ext(f7, 2)
+    g7, g9 = Poly.make(f7, (1, 2, 1)), Poly.make(f9, (1, 2, 1))
+    psi7, chi7 = AdditiveChar.canonical(f7), MultChar.quadratic(f7)
+    rows = {
+        "psi foreign": (lambda: psi7.value(FqElem(f13, 3)), CtxMismatch),
+        "psi out of range": (lambda: AdditiveChar.canonical(f9).value(20), ValueError),
+        "chi foreign": (lambda: chi7.value(FqElem(f13, 3)), CtxMismatch),
+        "chi out of range": (lambda: MultChar.quadratic(f9).value(9), ValueError),
+        "fiber mu foreign": (lambda: fiber_sum_additive(g7, psi7, e72, FqElem(f13, 12)), CtxMismatch),
+        "monomial foreign": (lambda: Poly.monomial(f7, FqElem(f13, 3), 2), CtxMismatch),
+        "monomial out of range": (lambda: Poly.monomial(f9, 20, 2), ValueError),
+        "scale foreign": (lambda: g7.scale(FqElem(f13, 3)), CtxMismatch),
+        "scale out of range": (lambda: g9.scale(20), ValueError),
+        "shift foreign": (lambda: shift(g7, FqElem(f13, 3)), CtxMismatch),
+        "shift out of range": (lambda: shift(g9, 20), ValueError),
+        "elem too many digits": (lambda: elem(f9, [1, 1, 1]), ValueError),
+        "elem digit outside k": (lambda: elem(make_ext(f9, 2), [9, 0]), ValueError),
+        "elem digit mod p": (lambda: elem(e72, [20, 3]).val, 6 + 3 * 7),
+    }
+    return [pytest.param(call, want, id=name.replace(" ", "_")) for name, (call, want) in rows.items()]
+
+
+@pytest.mark.parametrize("call, want", _foreign_and_out_of_range_rows())
+def test_foreign_or_out_of_range_elements_are_refused(call, want):
+    # every entry point reads "an FqElem or an int" through elem: a foreign
+    # element is a CtxMismatch, an int follows element_value, and a digit
+    # vector is read digit by digit in its digit field
+    if isinstance(want, int):
+        assert call() == want
+    else:
+        with pytest.raises(want):
+            call()
