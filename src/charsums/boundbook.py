@@ -179,12 +179,19 @@ def resultant_sequence(g: Poly, n: int) -> Poly:
 
 
 def resultant_sequence_value_at_zero(g: Poly, n: int) -> int:
-    """g_n(0) without interpolating g_n itself."""
+    """g_n(0) = Res_t(g_a(t), g_b(-t)) with a = floor(n/2), b = n - a.
+
+    g_{a+b}(x) = Res_t(g_a(t), g_b(x - t)) for every a + b = n: both sides
+    have the (a+b)-fold root sums and leading coefficient lc(g)^(n d^(n-1)).
+    So the sequence is built only up to g_b, of degree d^ceil(n/2).
+    """
     if n == 1:
         return g.coeff(0)
-    gn = resultant_sequence(g, n - 1)
+    a = n // 2
+    ga = resultant_sequence(g, a)
+    gb = ga if 2 * a == n else _sequence_step(ga, g)
     lin = Poly.make(g.ctx, (0, g.ctx.neg(1)))  # -t
-    return resultant(gn, compose(g, lin)).val
+    return resultant(ga, compose(gb, lin)).val
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +276,12 @@ def odd_shift_data(g: Poly) -> tuple[bool, int | None, int | None]:
 
     For p > d the only candidate shift kills the x^(d-1) coefficient:
     c = -a_{d-1} / (d a_d).  Even d can never work since x^d survives.
+    When p divides d there is no candidate (d a_d = 0); such a g fails
+    the "p > d" hypothesis anyway.
     """
     ctx = g.ctx
     d = g.degree
-    if d % 2 == 0:
+    if d % 2 == 0 or d % ctx.p == 0:
         return False, None, None
     c = centring_shift(g)
     h = shift(g, c)
@@ -462,12 +471,13 @@ def report_translation_multiplicative(
         )
     )
     hyps.append(Hypothesis("p > 2d+1", p > 2 * d + 1, f"p = {p}"))
-    h = shift(g, centring_shift(g))
-    par = parity_check(h)
-    if d % 2 == 1:
-        hyps.append(Hypothesis("h not odd (d odd)", par != Parity.ODD, f"parity = {par.value}"))
+    banned = Parity.ODD if d % 2 == 1 else Parity.EVEN
+    name = f"h not {banned.value} (d {banned.value})"
+    if d % p == 0:
+        hyps.append(Hypothesis(name, False, f"p = {p} divides d = {d}: no centring shift"))
     else:
-        hyps.append(Hypothesis("h not even (d even)", par != Parity.EVEN, f"parity = {par.value}"))
+        par = parity_check(shift(g, centring_shift(g)))
+        hyps.append(Hypothesis(name, par != banned, f"parity = {par.value}"))
     splits = root_structure(g, ctx).splits_completely
     hyps.append(
         Hypothesis(

@@ -40,8 +40,12 @@ from charsums.localdata import compute_local_data
 from charsums import boundbook
 from charsums.polyring import Poly, evaluate, random_poly, roots_in
 
+F3 = make_field(3, 1)
+F4 = make_field(2, 2)
 F5 = make_field(5, 1)
 F7 = make_field(7, 1)
+F8 = make_field(2, 3)
+F9 = make_field(3, 2)
 F13 = make_field(13, 1)
 
 
@@ -134,6 +138,59 @@ def test_resultant_sequence_value_at_zero_consistent():
             gn = resultant_sequence(g, n)
             v = resultant_sequence_value_at_zero(g, n)
             assert v == evaluate(gn, __import__("charsums").FqElem(F7, 0)).val
+
+
+def _gate_cases(ctx, rng):
+    """Non-monic quadratics and cubics over ctx, two of them with a double root."""
+    lin = [random_poly(ctx, 1, rng) for _ in range(3)]
+    c = Poly.make(ctx, (rng.randrange(2, ctx.size),))  # a lead other than 1
+    return [
+        c * lin[0] * lin[1],  # square-free unless the two roots coincide
+        c * lin[0] * lin[0],  # a double root
+        random_poly(ctx, 3, rng, monic=False),
+        c * lin[0] * lin[0] * lin[2],  # a cubic with a double root
+    ]
+
+
+@pytest.mark.parametrize("ctx", [F5, F7, F9, F4, F8], ids=["F5", "F7", "F9", "F4", "F8"])
+def test_halved_gate_equals_full_sequence(ctx):
+    # g_n(0) from g_floor(n/2) and g_ceil(n/2) against g_n itself; the gate
+    # runs before square-freeness is enforced, so double roots are included
+    rng = random.Random(ctx.size)
+    values = []
+    for g in _gate_cases(ctx, rng):
+        for n in range(2, 6 if g.degree == 2 else 4):
+            v = resultant_sequence_value_at_zero(g, n)
+            assert v == resultant_sequence(g, n).coeff(0), (g, n)
+            values.append(v)
+    assert any(values)
+
+
+@pytest.mark.parametrize(
+    "ctx, roots, lead",
+    [(F5, (0, 1, 3), 2), (F7, (1, 2, 6), 3), (F7, (2, 5), 4), (F13, (1, 3, 9, 11), 1)],
+)
+def test_halved_gate_equals_product_over_tuples(ctx, roots, lead):
+    g = _tuple_sum_product(ctx, roots, 1, lead=lead)
+    for n in range(2, 6 if len(roots) < 4 else 4):
+        lead_n = ctx.pow_(lead, n * len(roots) ** (n - 1))
+        want = _tuple_sum_product(ctx, roots, n, lead=lead_n).coeff(0)
+        assert resultant_sequence_value_at_zero(g, n) == want
+
+
+@pytest.mark.parametrize("d, n, steps", [(5, 4, [25]), (3, 5, [9, 27]), (3, 4, [9])])
+def test_halved_gate_stops_at_degree_d_to_ceil_half_n(monkeypatch, d, n, steps):
+    # the sequence is built to g_ceil(n/2) only: never g_(n-1) of degree d^(n-1)
+    real_step = boundbook._sequence_step
+    targets = []
+
+    def recording_step(gn, g):
+        targets.append(gn.degree * g.degree)
+        return real_step(gn, g)
+
+    monkeypatch.setattr(boundbook, "_sequence_step", recording_step)
+    resultant_sequence_value_at_zero(random_poly(F7, d, random.Random(d * n)), n)
+    assert targets == steps and max(targets) == d ** ((n + 1) // 2)
 
 
 def _tuple_sum_product(ctx, roots, n, lead=1):
@@ -357,6 +414,8 @@ def test_odd_shift_detection():
     # x^3 + 5: beta = -5
     ok4, c4, beta4 = odd_shift_data(Poly.make(F7, (5, 0, 0, 1)))
     assert ok4 and c4 == 0 and beta4 == F7.neg(5)
+    # p | d: d a_d = 0 leaves no centring shift, even for the odd x^3 + x
+    assert odd_shift_data(Poly.make(F3, (0, 1, 0, 1))) == (False, None, None)
 
 
 def test_all_power_roots_in_field():
@@ -413,6 +472,20 @@ def test_translation_multiplicative_report_gate():
     rep3 = report_translation_multiplicative(g3, chi3, psi, r=3)
     assert rep3.kind == "TransMultExc" and rep3.applicable and not rep3.strict
     assert rep3.main_term is not None
+
+
+def test_translation_reports_when_p_divides_d():
+    # no centring shift -a_{d-1} / (d a_d) exists: the reports fail a hypothesis
+    psi = AdditiveChar.canonical(F3)
+    rep = report_translation_additive(Poly.make(F3, (2, 2, 2, 1)), psi, r=2)
+    assert rep.kind == "TransAdd" and not rep.applicable
+    assert not next(h for h in rep.hypotheses if h.name == "p > d").passed
+    rho = MultChar.quadratic(F3)
+    g6 = Poly.make(F3, (1, 2, 0, 0, 1, 0, 1))  # a_5 = 0: the exceptional cell r = d = 6
+    rep2 = report_translation_multiplicative(g6, rho, psi, r=6)
+    assert rep2.kind == "TransMultExc" and not rep2.applicable
+    parity = next(h for h in rep2.hypotheses if h.name == "h not even (d even)")
+    assert not parity.passed and "p = 3 divides d = 6" in parity.detail
 
 
 def test_homothety_bounds():

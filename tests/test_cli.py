@@ -1,5 +1,6 @@
 """Config validation, constrained generation, the run harness, and the CLI."""
 
+import csv
 import dataclasses
 import json
 import random
@@ -406,6 +407,26 @@ def test_golden_csv_bytes(name):
     config = parse_config(json.loads((data / f"{name}.json").read_text()))
     assert csv_without_timing(rows_to_csv(run(config))) == (data / f"{name}.csv").read_text()
 
+
+@pytest.mark.parametrize(
+    "config, kind",
+    [
+        ({"kind": "TransAdd", "p": 3, "r": [2], "d": [3]}, "TransAdd"),
+        ({"kind": "TransMult", "p": 3, "r": [6], "d": [6], "char": {"m": 2},
+          "poly": {"source": "random", "constraints": {"a_dm1_zero": True}}}, "TransMultExc"),
+    ],
+    ids=["TransAdd", "TransMultExc"],
+)
+def test_translation_rows_when_p_divides_d(tmp_path, capsys, config, kind):
+    # no centring shift exists: the row reports its failed hypotheses
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"version": 1, "seed": 0, **config}))
+    assert main(["run", str(path)]) == 0
+    captured = capsys.readouterr()
+    header, line = captured.out.splitlines()
+    row = dict(zip(header.split(","), next(csv.reader([line]))))
+    assert row["kind"] == kind and row["applicable"] == "0"
+    assert "Traceback" not in captured.err
 
 @pytest.mark.parametrize(
     "argv, message",
