@@ -412,7 +412,11 @@ def report_translation_additive(
         main = main_term_additive_sp(beta, psi, q, r)
         return _finish("TransAddSpExc", bound, main, hyps)
 
-    hyps.append(Hypothesis("no g(x+c)+delta is odd", True, ""))
+    if d % 2 == 1 and d % p == 0:
+        # d a_d = 0: no shift kills a_{d-1}, and no search was made
+        hyps.append(Hypothesis("no g(x+c)+delta is odd", False, f"p = {p} divides d = {d}: no centring shift"))
+    else:
+        hyps.append(Hypothesis("no g(x+c)+delta is odd", True, ""))
     exceptional = adm1_zero and r == d - 1
     if not exceptional:
         return _finish("TransAdd", bound, None, hyps)

@@ -2,19 +2,31 @@
 
 Every sum is sum_v c_v * chi(v) over v in k, where c_v counts the
 elements of k_r (or of a norm fiber) whose trace or norm index is v.
-The counts come from one of four walks.  When r > 1 and every
-coefficient of f lies in k, the summand is constant on each Frobenius
-orbit of k_r over k, so the orbit walk visits one element per orbit (a
-necklace of its coordinates in a normal basis) and adds the orbit's
-size.  Otherwise a norm fiber N(x) = mu is a coset x0 * <gamma^(q-1)> of
-the unit group, and the fiber coset walk visits just its (q^r-1)/(q-1)
-elements, one product per step; the pow plan x -> x^n is d-to-1 on the
-cyclic group k_r^* = <gamma> (d = gcd(n, q^r-1)), so the pow image walk
-visits its image <gamma^n> the same way, each point weighted d, and 0
-once; and any other sum takes the full walk over every element.  All
-four give the same exact integer counts.  Each index-range partition
-yields exact integer counts, which are added exactly and evaluated once
-in fixed order, so serial runs and worker pools produce bit-identical
+On a field with q^r <= ffield.DLOG_CAP the log kernel fills the counts:
+every element but 0 is gamma^i for gamma = generator_r, and the
+Zech-logarithm tables `ExtCtx._logs` turn a product into an addition of
+exponents mod q^r - 1 and an addition into one table lookup, so f costs
+one lookup per nonzero coefficient and the trace or norm index one
+more.  It visits a set of exponents: one per Frobenius orbit (a
+cyclotomic coset, weighted by its size) when r > 1 and every
+coefficient of f lies in k, since the summand is constant on orbits;
+the class i = i0 mod q - 1 for a norm fiber; the multiples of
+d = gcd(n, q^r - 1), each weighted d, for the image of x -> x^n; and
+otherwise all of them; and 0 where it belongs.  It runs in the calling
+process, since on two cores a partition pool cost more than it saved.
+
+Larger fields keep the digit walks, which compute on digit tuples
+through `ExtCtx._kops` and are the log kernel's test oracles.  For f
+over k at r > 1 the orbit walk visits one element per Frobenius orbit
+(a necklace of its coordinates in a normal basis) and adds the orbit's
+size.  Otherwise a norm fiber N(x) = mu is a coset x0 * <gamma^(q-1)>
+of the unit group, and the fiber coset walk visits just its
+(q^r-1)/(q-1) elements, one product per step; the pow plan x -> x^n is
+d-to-1 on k_r^*, so the pow image walk visits its image <gamma^n> the
+same way, each point weighted d, and 0 once; and any other sum takes
+the full walk over every element.  Each index-range partition yields
+exact integer counts, which are added exactly and evaluated once in
+fixed order, so serial runs and worker pools produce bit-identical
 values.  A pool task carries the extension context itself; it pickles
 back into its `make_ext` call, so each worker builds a field once and
 reuses it for every later task.  Multiplicative characters are only
@@ -26,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, islice, product, repeat
@@ -33,7 +46,7 @@ from itertools import accumulate, chain, islice, product, repeat
 from .errors import CtxMismatch, FieldTooLarge, NotABasis, ZeroMu
 # make_ext and make_field are unused here but stay importable from this
 # module: perfbench/tracer.py rebinds them here to time field construction
-from .ffield import ExtCtx, FieldCtx, FqElem, elem, make_ext, make_field, rank_over
+from .ffield import DLOG_CAP, ExtCtx, FieldCtx, FqElem, elem, make_ext, make_field, rank_over
 from .polyring import Poly, evaluate, lift
 
 DEFAULT_CAP = 1 << 24
@@ -217,16 +230,17 @@ def _tally(ext, mode, coeffs, inner, mu, points) -> list[int]:
     counts = [0] * q
 
     if mode == "D":
-        kadd, kmul = ko.kadd, ko.kmul
+        # u -> a + u * tau is a bijection of k when tau != 0, and a when tau = 0
+        spread = 0
         for t, w in points:
+            if etr(t):
+                spread += w
+                continue
             acc = lead
             for c in rest:
                 acc = eadd(emul(acc, t), c)
-            a = etr(acc)
-            tau = etr(t)
-            for u in range(q):
-                counts[kadd(a, kmul(u, tau))] += w
-        return counts
+            counts[etr(acc)] += q * w
+        return [c + spread for c in counts]
 
     index = etr if mode == "S" else enorm
     inner_f = _inner_fn(ko, inner)
@@ -336,6 +350,126 @@ def _count_coset(task) -> list[int]:
     return counts
 
 
+# ---------------------------------------------------------------------------
+# the log kernel: sums on k_r, q^r <= DLOG_CAP, as exponent arithmetic
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=16)
+def _cyclotomic_cosets(q: int, r: int) -> tuple[array, array]:
+    """The leaders (least elements) and sizes of the cosets {i * q^j mod N}
+    of Z/N, N = q^r - 1, in increasing order of leader.
+
+    They are the Frobenius orbits of k_r^* = <gamma> on exponents, and
+    depend on q and r alone.  Multiplying by q rotates the r base-q
+    digits of i, so the sizes divide r.
+    """
+    units = q**r - 1
+    seen = bytearray(units)
+    leaders, sizes = array("i"), array("B")
+    i = 0
+    while i >= 0:
+        j, size = i, 0
+        while not seen[j]:
+            seen[j] = 1
+            size += 1
+            j = j * q % units
+        leaders.append(i)
+        sizes.append(size)
+        i = seen.find(0, i + 1)
+    return leaders, sizes
+
+
+def _log_walk(ext, mode, coeffs, inner, mu):
+    """The exponents a sum visits, as (inner, points, zero): the plan to
+    apply, pairs (i, w) for x = gamma^i of weight w, and the weight of 0.
+
+    With gamma = generator_r and N = q^r - 1: a fiber N(x) = mu is the
+    class i = i0 mod q - 1, since N(gamma^i) = gamma^(i m), m = N/(q-1),
+    and gamma^m generates k^*; for f over k at r > 1 the orbit walk takes
+    one leader per Frobenius orbit (`_cyclotomic_cosets`), weighted by its
+    size; an S or U sum with the ("pow", n) plan takes its image, the
+    multiples of d = gcd(n, N), each of weight d; anything else takes
+    range(N).  Every walk but the fiber also visits 0 once.
+    """
+    q, units = ext.base.q, ext.size - 1
+    if mu is not None:
+        i0, rest = divmod(ext._logs.log[mu], units // (q - 1))
+        if rest:
+            raise RuntimeError(f"mu = {mu} has no norm fiber in {ext!r}")
+        return inner, zip(range(i0, units, q - 1), repeat(1)), 0
+    if ext.r > 1 and all(c < q for c in coeffs):
+        return inner, zip(*_cyclotomic_cosets(q, ext.r)), 1
+    if inner is not None and inner[0] == "pow" and mode != "D":
+        d = math.gcd(inner[1], units)
+        return None, zip(range(0, units, d), repeat(d)), 1
+    return inner, zip(range(units), repeat(1)), 1
+
+
+def _log_tally(ext, mode, coeffs, inner, points, zero) -> list[int]:
+    """`_tally` on exponents: the same counts for the points (i, w) of
+    x = gamma^i and x = 0 of weight `zero`, from the tables `ExtCtx._logs`.
+
+    A product adds logs mod N and a + c = c * (1 + a/c) adds
+    zech[log a - log c], so Horner costs one zech lookup per nonzero
+    coefficient; x^q - x = gamma^(i+h) * (1 + gamma^((q-1)i+h)), h = half;
+    x^n has log n * i.  The trace index is trace[log], and the norm index
+    N(gamma^a) = gamma^(a m) depends on a mod q - 1 only.  In mode D,
+    u -> a + u * Tr(t) is a bijection of k when Tr(t) != 0, so t adds its
+    weight to every bucket, and q times it to bucket a when Tr(t) = 0.
+    """
+    tabs = ext._logs
+    log, zech, trace = tabs.log, tabs.zech, tabs.trace
+    q, units = ext.base.q, ext.size - 1
+    if mode == "U":
+        period, index = q - 1, [0] * (q - 1)
+        for v in range(1, q):
+            index[log[v] * (q - 1) // units] = v
+    else:
+        period, index = units, trace
+    # f(y) = (..((a_d y^g_1 + c_1) y^g_2 + c_2) ..) y^tail over the nonzero
+    # coefficients; log 0 = -1 marks the zero value
+    degrees = [j for j, c in enumerate(coeffs) if c][::-1] or [0]
+    lead, tail = log[coeffs[degrees[0]]], degrees[-1]
+    terms = [(hi - lo, log[coeffs[lo]]) for hi, lo in zip(degrees, degrees[1:])]
+    at_zero = index[log[coeffs[0]] % period] if coeffs[0] else 0
+
+    # the plan: x^n has log n * i (no plan: n = 1), and x^q - x has log
+    # i + h + zech[(q-1) * i + h], or is 0 for x in k
+    frobsub = inner is not None and inner[0] == "frobsub"
+    if inner is not None and not frobsub and inner[0] != "pow":
+        raise ValueError(f"unknown inner plan {inner!r}")
+    n = inner[1] if inner is not None and not frobsub else 1
+    h, step = tabs.half, q - 1
+    d_mode = mode == "D"
+    counts = [0] * q
+    counts[at_zero] = zero
+    spread = 0
+    for i, w in points:
+        if frobsub:
+            z = zech[(step * i + h) % units]
+            if z < 0:
+                counts[at_zero] += w
+                continue
+            e = i + h + z
+        else:
+            e = n * i
+        if d_mode and trace[i]:
+            spread += w
+            continue
+        a = lead
+        for gap, c in terms:
+            if a < 0:
+                a = c
+            else:
+                z = zech[(a + gap * e - c) % units]
+                a = c + z if z >= 0 else -1
+        counts[index[(a + tail * e) % period] if a >= 0 else 0] += w
+    if d_mode:
+        return [c * q + spread for c in counts]
+    return counts
+
+
 def _csum(terms) -> complex:
     """Correctly rounded sum of complex terms, whatever their order."""
     terms = list(terms)
@@ -345,20 +479,15 @@ def _csum(terms) -> complex:
 def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex:
     """Check, count every term exactly, then evaluate sum_v c_v * char(v).
 
-    For r > 1 and f over k the counts come from the orbit walk
-    (`_count_orbits`).  Otherwise the coset walk (`_count_coset`) takes a
-    fiber sum over its fiber, and an S or U sum with the ("pow", n) plan
-    over the image of x -> x^n, which it then evaluates with the
-    identity plan; any other sum takes the full walk (`_count_part`).
-    All give the same exact histogram.  A pool splits each walk into as
-    many index ranges as `_part_ranges(q^r)` gives.
+    The counts come from the log kernel (`_log_walk`, `_log_tally`) when
+    q^r <= DLOG_CAP, and from the digit walks (`_digit_counts`) above
+    it; both give the same exact histogram.
     """
     if mu is not None:
         mu = elem(ext.base, mu).val
         if mu == 0:
             raise ZeroMu("norm fibers are indexed by nonzero mu")
-    powered = inner is not None and inner[0] == "pow"
-    if powered and inner[1] < 1:
+    if inner is not None and inner[0] == "pow" and inner[1] < 1:
         raise ValueError(f"the pow plan needs an exponent n >= 1, got {inner[1]}")
     if char.ctx != ext.base:
         raise CtxMismatch("character not on the base field of the extension")
@@ -366,19 +495,42 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
     terms = n * q if mode == "D" else n
     if terms > cap:
         raise FieldTooLarge(f"enumeration of {terms} terms exceeds cap {cap}")
+    if n <= DLOG_CAP:
+        coeffs = lift(f, ext).coeffs or (0,)
+        counts = _log_tally(ext, mode, coeffs, *_log_walk(ext, mode, coeffs, inner, mu))
+    else:
+        counts = _digit_counts(mode, f, ext, inner, mu, pool)
+    expected = terms if mu is None else _fiber_size(ext)
+    if sum(counts) != expected:
+        raise RuntimeError(f"counted {sum(counts)} terms, expected {expected}")
+    tab = char.table()
+    return _csum(c * tab[v] for v, c in enumerate(counts) if c)
+
+
+def _digit_counts(mode, f, ext, inner, mu, pool) -> list[int]:
+    """The counts by the digit walks.
+
+    For r > 1 and f over k they come from the orbit walk
+    (`_count_orbits`).  Otherwise the coset walk (`_count_coset`) takes a
+    fiber sum over its fiber, and an S or U sum with the ("pow", n) plan
+    over the image of x -> x^n, which it then evaluates with the
+    identity plan; any other sum takes the full walk (`_count_part`).
+    A pool splits each walk into as many index ranges as
+    `_part_ranges(q^r)` gives.
+    """
     coeffs = _ext_coeff_tuples(f, ext)
-    ranges = _part_ranges(n)
+    ranges = _part_ranges(ext.size)
     parallel = pool is not None and len(ranges) > 1
     parts = len(ranges) if parallel else 1
     where = mu
     if ext.r > 1 and not any(any(c[1:]) for c in coeffs):  # f lies over k
         worker = _count_orbits
-        ranges = _necklace_spans(q, ext.r, parts)
+        ranges = _necklace_spans(ext.base.q, ext.r, parts)
     elif mu is not None:
         worker, where = _count_coset, _fiber_coset(ext, mu)
         if ext._kops.enorm(where[0]) != mu:
             raise RuntimeError(f"the coset of mu = {mu} starts outside its fiber")
-    elif powered and mode != "D":
+    elif inner is not None and inner[0] == "pow" and mode != "D":
         worker, where, inner = _count_coset, _pow_image(ext, inner[1]), None
     else:
         worker = _count_part
@@ -387,12 +539,7 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
         ranges = [(i * m // parts, (i + 1) * m // parts) for i in range(parts)]
     tasks = [(ext, mode, coeffs, inner, where, a, b) for a, b in ranges]
     mapper = pool.map if parallel else map
-    counts = [sum(col) for col in zip(*mapper(worker, tasks))]
-    expected = terms if mu is None else _fiber_size(ext)
-    if sum(counts) != expected:
-        raise RuntimeError(f"counted {sum(counts)} terms, expected {expected}")
-    tab = char.table()
-    return _csum(c * tab[v] for v, c in enumerate(counts) if c)
+    return [sum(col) for col in zip(*mapper(worker, tasks))]
 
 
 def _ext_coeff_tuples(f: Poly, ext: ExtCtx) -> tuple:

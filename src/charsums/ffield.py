@@ -6,28 +6,33 @@ element of F_{q^r} with digit vector (d_0, ..., d_{r-1}) over F_q is
 stored as sum(d_j * q**j).  Packed values are hashable, compact and make
 the canonical enumeration order (0, 1, 2, ...) trivial.  The FqElem
 wrapper recovers coefficient vectors and provides operator overloads for
-the algebraic layers; the hot enumeration kernels in `charsum` work on
-raw digit tuples through the closures built by `ExtCtx._kops`.
+the algebraic layers; `charsum`'s digit walks work on raw digit tuples
+through the closures built by `ExtCtx._kops`.
 
 Extensions are represented relative to the base field k (k_r =
 k[Y]/(m_r)), not rebuilt over F_p, so trace and norm relative to k come
 out as Frobenius sums/products directly.  F_{p^s} (s > 1) is itself the
 degree-s extension of F_p, with the same packing; its add/mul/neg
-tables, stored up to TABLE_CAP and computed above it by that extension,
-serve FieldCtx and the kernel.  `make_field` and
-`make_ext` share one seeded search for modulus and generator (the
-modulus by `polyring.is_irreducible`), and return one context per
-argument tuple; a context pickles back into that call.  Both contexts
-answer `size` (number of elements) and `p` (characteristic), and k
-embeds in k_r as the identity on packed values.
+tables serve FieldCtx and the kernel.  Up to TABLE_CAP they are stored,
+the product from the exp/log tables `_dlog` and the sum by base-p digit
+addition; above it they are computed by that extension on lookup.  An
+extension with q^r <= DLOG_CAP also has Zech-logarithm tables over its
+generator (`ExtCtx._logs`: log, 1 + gamma^n and trace, as arrays),
+built in one walk on first use, on which `charsum`'s log kernel runs.
+`make_field` and `make_ext` share one seeded search for modulus and
+generator (the modulus by `polyring.is_irreducible`), and return one
+context per argument tuple; a context pickles back into that call.
+Both contexts answer `size` (number of elements) and `p`
+(characteristic), and k embeds in k_r as the identity on packed values.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from types import SimpleNamespace
 
 from .errors import (
@@ -41,7 +46,8 @@ from .errors import (
 # add/mul/neg tables are stored for fields up to this size, and computed
 # on lookup above it (F_{p^s}) or replaced by plain ints mod p (F_p)
 TABLE_CAP = 1024
-# discrete-log tables (and hence multiplicative character evaluation on k)
+# discrete-log tables: of k (and hence multiplicative character evaluation
+# on k), and the Zech-logarithm tables of k_r, whose sums then run on them
 DLOG_CAP = 1 << 22
 MAX_CARD = 1 << 63
 
@@ -195,32 +201,37 @@ class FieldCtx:
     # It is private and never handed out: it pickles as a make_ext call,
     # which would build a different modulus.
 
-    def _ext_table(self, op: str):
-        # tab[a][b] = op(a, b) by the extension kernel: q x q stored lists up
-        # to TABLE_CAP, and above it rows computed on lookup, never stored
-        ext = self._ext
-        if self.q > TABLE_CAP:
-            f = getattr(ext, op)
-            return _Computed(lambda a: _Computed(partial(f, a)))
-        f, pack = getattr(ext._kops, "e" + op), ext.pack
-        vecs = [ext.unpack(a) for a in range(self.q)]
-        return [[pack(f(va, vb)) for vb in vecs] for va in vecs]
+    def _computed(self, op: str):
+        # tab[a][b] = op(a, b) by the extension, computed on lookup and never
+        # stored: the tables of an F_{p^s} above TABLE_CAP
+        f = getattr(self._ext, op)
+        return _Computed(lambda a: _Computed(partial(f, a)))
 
     # _add_tab, _mul_tab and _neg_tab serve every field but a prime one
-    # above TABLE_CAP, which has none (None) and computes mod p instead
+    # above TABLE_CAP, which has none (None) and computes mod p instead.
+    # Stored tables cost no kernel product: _mul_tab comes from _dlog and
+    # _add_tab adds base-p digits
     @cached_property
     def _mul_tab(self):
-        if self.s > 1:
-            return self._ext_table("mul")
-        p = self.p
-        return [[a * b % p for b in range(p)] for a in range(p)] if p <= TABLE_CAP else None
+        if self.q > TABLE_CAP:
+            return self._computed("mul") if self.s > 1 else None
+        exp, log = self._dlog
+        m = self.q - 1
+        return [[0] * self.q] + [[0] + [exp[(la + lb) % m] for lb in log[1:]] for la in log[1:]]
 
     @cached_property
     def _add_tab(self):
-        if self.s > 1:
-            return self._ext_table("add")
+        if self.q > TABLE_CAP:
+            return self._computed("add") if self.s > 1 else None
+        # the table on t + 1 digits from the table on t (weight w = p^t):
+        # a = lo + w * hi adds to b = x + w * y as lo + x, then hi + y mod p
         p = self.p
-        return [[(a + b) % p for b in range(p)] for a in range(p)] if p <= TABLE_CAP else None
+        digit = [[(a + b) % p for b in range(p)] for a in range(p)]
+        tab, w = digit, p
+        for _ in range(self.s - 1):
+            tab = [[x + w * y for y in digit[hi] for x in lo] for hi in range(p) for lo in tab]
+            w *= p
+        return tab
 
     @cached_property
     def _neg_tab(self):
@@ -232,17 +243,20 @@ class FieldCtx:
 
     @cached_property
     def _dlog(self):
-        # exp/log tables for the unit group; log[0] = -1 sentinel
+        # exp/log tables for the unit group; log[0] = -1 sentinel.  A
+        # composite field walks the generator on the digit tuples of its
+        # extension kernel, since self.mul reads _mul_tab, built from these
         if self.q > DLOG_CAP:
             raise FieldTooLarge(f"dlog table capped at q <= 2^22, got q={self.q}")
-        exp = [1] * (self.q - 1)
+        if self.s == 1:
+            exp = list(accumulate(repeat(self.generator, self.q - 2), self.mul, initial=1))
+        else:
+            ext, ko = self._ext, self._ext._kops
+            walk = accumulate(repeat(ext.unpack(self.generator), self.q - 2), ko.emul, initial=ko.one)
+            exp = list(map(ext.pack, walk))
         log = [-1] * self.q
-        cur = 1
-        log[1] = 0
-        for i in range(1, self.q - 1):
-            cur = self.mul(cur, self.generator)
-            exp[i] = cur
-            log[cur] = i
+        for i, x in enumerate(exp):
+            log[x] = i
         return exp, log
 
     # -- arithmetic on packed ints ----------------------------------------
@@ -362,10 +376,14 @@ class ExtCtx:
         """Canonical injection k -> k_r (identity on packed values)."""
         return c
 
-    # -- kernel closures ----------------------------------------------------
+    # -- kernel closures and tables --------------------------------------------
     @cached_property
     def _kops(self):
         return _build_kops(self)
+
+    @cached_property
+    def _logs(self):
+        return _log_tables(self)
 
     # -- normal basis -------------------------------------------------------
     @cached_property
@@ -627,6 +645,84 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         kadd=kadd,
         one=one,
     )
+
+
+def _log_tables(ext: ExtCtx) -> SimpleNamespace:
+    """Zech-logarithm tables of k_r over gamma = generator_r, q^r <= DLOG_CAP.
+
+    With N = q^r - 1, three array('i') tables come from one walk n -> gamma^n:
+    log[v] = n for the packed value v of gamma^n (log[0] = -1); trace[n] =
+    Tr_{k_r/k}(gamma^n), packed in k; and zech[n] = log(1 + gamma^n), -1
+    where 1 + gamma^n = 0, that is at n = half (gamma^half = -1).
+
+    x -> gamma * x is F_p-linear on the r * s base-p digits of the packed
+    value.  The walk keeps each digit of x, and the s digits of Tr(x),
+    in a slot of one int.  A step reads each slot once, in a table that
+    gives the digit's share of gamma * x (and of its trace), and, above
+    those slots, its share of the packed value of x and of its trace.  A
+    slot holds a sum of r * s digits and is reduced mod p when read.
+    """
+    p, size, s = ext.p, ext.size, ext.base.s
+    if size > DLOG_CAP:
+        raise FieldTooLarge(f"log tables capped at q^r <= 2^22, got q^r={size}")
+    units, n = size - 1, ext.r * s
+    width = max(1, (n * (p - 1)).bit_length())
+    mask, top = (1 << width) - 1, width * (n + s)
+
+    def slots(v, at):
+        # the base-p digits of v in the slots from `at` on
+        out = 0
+        while v:
+            v, c = divmod(v, p)
+            out |= c << (width * at)
+            at += 1
+        return out
+
+    def row(i):
+        # c * gamma * p^i and its trace, for c in F_p
+        y = ext.mul(ext.generator_r, p**i)
+        one = slots(y, 0) | slots(ext.trace_to_base(y), n)
+        digits = [(j * width, one >> (j * width) & mask) for j in range(n + s)]
+        return [sum(c * d % p << at for at, d in digits) for c in range(p)]
+
+    rows = [row(i) for i in range(n)] + [[0] * p] * s
+    weights = [p**i for i in range(n)] + [size * p**j for j in range(s)]
+    # (shift, bits, table) per read; neighbouring slots share one read while
+    # its table stays small next to the walk
+    reads = []
+    for i in range(n + s):
+        table = [rows[i][raw % p] | raw % p * weights[i] << top for raw in range(mask + 1)]
+        if reads and len(reads[-1][2]) * len(table) <= min(size >> 2, 1 << 12):
+            shift, _, low = reads.pop()
+            table = [a + b for b in table for a in low]
+        else:
+            shift = width * i
+        reads.append((shift, len(table) - 1, table))
+    log = array("i", [-1]) * size
+    trace = array("i", [0]) * units
+    x = slots(1, 0) | slots(ext.r % p, n)  # 1, and Tr(1) = r
+    below = (1 << top) - 1
+    for k in range(units + 1):
+        y = 0
+        for shift, bits, table in reads:
+            y += table[x >> shift & bits]
+        t, v = divmod(y >> top, size)
+        if k == units:
+            break
+        log[v] = k
+        trace[k] = t
+        x = y & below
+    # gamma^N = 1 first at N: the walk met every unit once
+    if v != 1 or log[1] != 0:
+        raise RuntimeError(f"generator {ext.generator_r} of {ext!r} does not have order {units}")
+
+    # 1 + x raises the lowest base-p digit of the packed value by one mod p
+    up = log[1:] + log[:1]
+    up[p - 1::p] = log[::p]
+    zech = array("i", [0]) * units
+    for a, z in zip(islice(log, 1, None), islice(up, 1, None)):
+        zech[a] = z
+    return SimpleNamespace(log=log, zech=zech, trace=trace, half=log[p - 1])
 
 
 def make_ext(base: FieldCtx, r: int, seed: int = 0) -> ExtCtx:

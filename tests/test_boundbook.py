@@ -488,6 +488,20 @@ def test_translation_reports_when_p_divides_d():
     assert not parity.passed and "p = 3 divides d = 6" in parity.detail
 
 
+@pytest.mark.parametrize("r, kind", [(1, "TransAdd"), (2, "TransAddExc")])
+def test_odd_g_with_p_dividing_d_fails_the_no_odd_shift_hypothesis(r, kind):
+    # x^3 + x over F_3 is odd, but d a_d = 0 leaves no centring shift to
+    # test, so "no g(x+c)+delta is odd" is not claimed; kind and flags stay
+    psi = AdditiveChar.canonical(F3)
+    rep = report_translation_additive(Poly.make(F3, (0, 1, 0, 1)), psi, r=r)
+    assert rep.kind == kind and not rep.applicable and rep.main_term is None
+    hyp = next(h for h in rep.hypotheses if h.name == "no g(x+c)+delta is odd")
+    assert not hyp.passed and hyp.detail == "p = 3 divides d = 3: no centring shift"
+    # an even d keeps the claim, p | d or not: x^d survives every shift
+    even = report_translation_additive(Poly.make(F3, (0, 1, 0, 0, 0, 0, 1)), psi, r=r)
+    assert next(h for h in even.hypotheses if h.name == "no g(x+c)+delta is odd").passed
+
+
 def test_homothety_bounds():
     assert homothety_fiber_bound(2, 13, 2) == pytest.approx(4 * math.sqrt(13))
     assert homothety_bound(2, 13, 2) == pytest.approx(2 * 2 * 12 * math.sqrt(13))

@@ -3,10 +3,11 @@
 import cmath
 import math
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
+import charsums.charsum as cs
 from charsums import FqElem, make_ext, make_field
 from charsums.charsum import (
     AdditiveChar,
@@ -34,7 +35,7 @@ from charsums.charsum import (
 )
 from charsums.errors import FieldTooLarge, NotABasis, ZeroMu
 from charsums.invariance import artin_schreier_poly
-from charsums.polyring import Poly, compose, random_poly
+from charsums.polyring import Poly, compose, lift, random_poly
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -305,9 +306,7 @@ def test_partition_structure_is_size_based():
         assert b == c
 
 
-def test_pool_and_serial_agree_bitwise():
-    from concurrent.futures import ProcessPoolExecutor
-
+def _pool_calls():
     f13 = make_field(13, 1)
     psi = AdditiveChar.canonical(f13)
     e4 = make_ext(f13, 4)
@@ -322,7 +321,7 @@ def test_pool_and_serial_agree_bitwise():
     # a coefficient outside k (packed 5 has digit 1 at Y^1) keeps h7 off the
     # orbit walk
     h7 = Poly.make(e7, (2, 5, 1))
-    calls = [
+    return [
         lambda pool: sum_additive(g, psi, e4, inner=("frobsub",), pool=pool),
         lambda pool: sum_multiplicative(h, chi4, e7, pool=pool),
         lambda pool: fiber_sum_additive(h, psi4, e7, 2, pool=pool),
@@ -336,10 +335,34 @@ def test_pool_and_serial_agree_bitwise():
         lambda pool: fiber_sum_additive(h7, psi4, e7, 2, pool=pool),
         lambda pool: fiber_sum_multiplicative(h7, chi4, e7, 3, pool=pool),
     ]
+
+
+def test_pool_and_serial_agree_bitwise():
+    from concurrent.futures import ProcessPoolExecutor
+
+    calls = _pool_calls()
     serial = [call(None) for call in calls]
     with ProcessPoolExecutor(max_workers=4) as pool:
         parallel = [call(pool) for call in calls]
     assert serial == parallel
+
+
+def test_pool_and_serial_agree_bitwise_on_the_digit_walks(monkeypatch):
+    # the same calls with ffield.DLOG_CAP lowered below their fields take
+    # the digit walks, whose partitions run on the pool, and give the log
+    # kernel's values bit for bit
+    from concurrent.futures import ProcessPoolExecutor
+
+    calls = _pool_calls()
+    log_kernel = [call(None) for call in calls]
+    monkeypatch.setattr(cs, "DLOG_CAP", 1)
+    parts = []
+    monkeypatch.setattr(cs, "_part_ranges", lambda n, f=cs._part_ranges: parts.append(n) or f(n))
+    serial = [call(None) for call in calls]
+    assert len(parts) == len(calls)
+    with ProcessPoolExecutor(max_workers=4) as pool:
+        parallel = [call(pool) for call in calls]
+    assert serial == parallel == log_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -422,44 +445,169 @@ def test_orbit_walk_equals_full_walk_mod_p_flavour():
     assert orbit == full
 
 
-def test_enumerate_takes_the_orbit_walk_exactly_for_f_over_k(monkeypatch):
-    import charsums.charsum as cs
+def _routing_cases():
+    """(f, ext, mu, pow exponent, digit walk, log walk) for each route."""
+    e1, e2 = make_ext(F7, 1), make_ext(F7, 2)
+    g = Poly.make(F7, (1, 2, 3))
+    h = Poly.make(e2, (1, 9, 3))  # 9 = 2 + Y lies outside k
+    return [
+        (g, e1, None, None, "full", "full"),  # r = 1
+        (g, e2, None, None, "orbit", "orbit"),
+        (h, e2, None, None, "full", "full"),
+        # norm fibers, mu = 3: on exponents every fiber is its class
+        (h, e2, 3, None, "fiber", "fiber"),
+        (g, e2, 3, None, "orbit", "fiber"),
+        (g, e1, 3, None, "fiber", "fiber"),  # r = 1
+        # the pow plan, n = 3: the image walk unless the orbit walk applies
+        (h, e2, None, 3, "image", "image"),
+        (g, e1, None, 3, "image", "image"),  # r = 1
+        (g, e2, None, 3, "orbit", "orbit"),
+    ]
 
+
+def _digit_walk(name, task):
+    if name == "_count_coset":
+        weight = task[4][3]  # d for the pow image, 1 for a fiber
+        return "image" if weight > 1 else "fiber"
+    return {"_count_part": "full", "_count_orbits": "orbit"}[name]
+
+
+def _log_walk_name(ext, inner, points, zero):
+    # which exponent set `_log_walk` chose, read off its points
+    q, units = ext.base.q, ext.size - 1
+    if zero == 0:
+        i0 = points[0][0]
+        assert points == [(i, 1) for i in range(i0, units, q - 1)]
+        return "fiber"
+    if inner is None and points[0][1] > 1:
+        d = points[0][1]
+        assert points == [(i, d) for i in range(0, units, d)]
+        return "image"
+    if ext.r > 1 and points == list(zip(*cs._cyclotomic_cosets(q, ext.r))):
+        return "orbit"
+    assert points == [(i, 1) for i in range(units)]
+    return "full"
+
+
+def test_enumerate_takes_the_orbit_walk_exactly_for_f_over_k(monkeypatch):
+    # below ffield.DLOG_CAP every sum runs on exponents, above it (the cap
+    # lowered below F_7) on digits; on both sides the orbit walk runs
+    # exactly for f over k at r > 1
     seen = []
     for name in ("_count_part", "_count_orbits", "_count_coset"):
         fn = getattr(cs, name)
-        monkeypatch.setattr(cs, name, lambda task, fn=fn, name=name: seen.append(name) or fn(task))
-    psi = AdditiveChar.canonical(F7)
-    e2 = make_ext(F7, 2)
-    g = Poly.make(F7, (1, 2, 3))
-    h = Poly.make(e2, (1, 9, 3))  # 9 = 2 + Y lies outside k
-    cases = [
-        (g, make_ext(F7, 1), None, "_count_part"),  # r = 1
-        (g, e2, None, "_count_orbits"),
-        (h, e2, None, "_count_part"),
-        # norm fibers, mu = 3
-        (h, e2, 3, "_count_coset"),
-        (g, e2, 3, "_count_orbits"),
-        (g, make_ext(F7, 1), 3, "_count_coset"),  # r = 1
+        monkeypatch.setattr(cs, name, lambda task, fn=fn, name=name: seen.append(
+            _digit_walk(name, task)) or fn(task))
+    tally = cs._log_tally
+
+    def log_tally(ext, mode, coeffs, inner, points, zero):
+        points = list(points)
+        seen.append(_log_walk_name(ext, inner, points, zero))
+        return tally(ext, mode, coeffs, inner, points, zero)
+
+    monkeypatch.setattr(cs, "_log_tally", log_tally)
+    psi, chi = AdditiveChar.canonical(F7), MultChar.quadratic(F7)
+    for log_kernel in (True, False):
+        if not log_kernel:
+            monkeypatch.setattr(cs, "DLOG_CAP", 1)
+        for f, ext, mu, n, digit_walk, log_walk in _routing_cases():
+            walk = log_walk if log_kernel else digit_walk
+            if mu is not None:
+                seen.clear()
+                fiber_sum_additive(f, psi, ext, mu)
+                assert seen == [walk] if log_kernel else set(seen) == {walk}
+                continue
+            inner = ("pow", n) if n else None
+            for total, char in ((sum_additive, psi), (sum_multiplicative, chi)):
+                seen.clear()
+                total(f, char, ext, inner=inner)
+                assert seen == [walk] if log_kernel else set(seen) == {walk}
+
+
+# ---------------------------------------------------------------------------
+# the log kernel
+# ---------------------------------------------------------------------------
+
+
+# (p, s, r): r = 1 and r > 1, p = 2 (where -1 = gamma^0), composite bases,
+# and r = 1 on the mod-p (F_1031) and generic (F_2048) flavours
+LOG_FIELDS = [
+    (13, 1, 1), (13, 1, 3), (7, 1, 2), (2, 1, 1), (2, 1, 5),
+    (3, 2, 3), (2, 2, 3), (1031, 1, 1), (2, 11, 1),
+]
+LOG_CELLS = [
+    ("S", None), ("S", ("frobsub",)), ("S", ("pow", 3)), ("S", ("pow", 4)),
+    ("U", None), ("U", ("frobsub",)), ("U", ("pow", 3)), ("U", ("pow", 4)),
+    ("D", None),
+]
+
+
+def _log_polys(base, ext, seed):
+    """f over k, f with a coefficient outside k (when r > 1), a sparse f
+    with f(0) = 0, and a constant."""
+    rng = random.Random(seed)
+    c = 1 + rng.randrange(base.q - 1)
+    return [
+        random_poly(base, 3, rng),
+        random_poly(ext, 2, rng),
+        Poly.make(base, (0, c, 0, 0, 1)),
+        Poly.make(base, (c,)),
     ]
-    for f, ext, mu, walk in cases:
-        seen.clear()
-        if mu is None:
-            sum_additive(f, psi, ext)
-        else:
-            fiber_sum_additive(f, psi, ext, mu)
-        assert set(seen) == {walk}
-    # the pow plan, n = 3: the image walk unless the orbit walk applies
-    chi = MultChar.quadratic(F7)
-    for f, ext, walk in [
-        (h, e2, "_count_coset"),
-        (g, make_ext(F7, 1), "_count_coset"),  # r = 1
-        (g, e2, "_count_orbits"),
-    ]:
-        for total, char in ((sum_additive, psi), (sum_multiplicative, chi)):
-            seen.clear()
-            total(f, char, ext, inner=("pow", 3))
-            assert set(seen) == {walk}
+
+
+def _log_counts(ext, mode, f, inner=None, mu=None):
+    coeffs = lift(f, ext).coeffs or (0,)
+    return cs._log_tally(ext, mode, coeffs, *cs._log_walk(ext, mode, coeffs, inner, mu))
+
+
+def _full_counts(ext, mode, f, inner=None, mu=None, span=None):
+    start, stop = span or (0, ext.size)
+    return _count_part((ext, mode, _ext_coeff_tuples(f, ext), inner, mu, start, stop))
+
+
+@pytest.mark.parametrize("p, s, r", LOG_FIELDS)
+@pytest.mark.parametrize("mode, inner", LOG_CELLS)
+def test_log_walk_equals_full_walk(p, s, r, mode, inner):
+    base = make_field(p, s, seed=0)
+    ext = make_ext(base, r, seed=0)
+    for f in _log_polys(base, ext, p * 100 + r):
+        assert _log_counts(ext, mode, f, inner) == _full_counts(ext, mode, f, inner), f
+
+
+@pytest.mark.parametrize("p, s, r", LOG_FIELDS)
+@pytest.mark.parametrize("mode", ["S", "U"])
+def test_log_fibers_equal_filtered_full_walk(p, s, r, mode):
+    base = make_field(p, s, seed=0)
+    ext = make_ext(base, r, seed=0)
+    # every mu, and on the large r = 1 fields one polynomial
+    for f in _log_polys(base, ext, p * 100 + r)[:3 if base.q <= 64 else 1]:
+        for mu in range(1, base.q):
+            # at r = 1 the fiber is {mu}, index mu of the full walk, and the
+            # filter drops every other index
+            span = (mu, mu + 1) if r == 1 else (0, ext.size)
+            want = _full_counts(ext, mode, f, mu=mu, span=span)
+            assert _log_counts(ext, mode, f, mu=mu) == want, (f, mu)
+
+
+@pytest.mark.parametrize("p, s, r", [(13, 1, 3), (3, 2, 3), (2, 1, 5)])
+def test_double_sum_counts_equal_the_u_loop(p, s, r):
+    # the histogram of Tr f(t) + u Tr(t) over u in k and t in k_r, one u at
+    # a time, against the digit and the log kernels' one step per t
+    base = make_field(p, s, seed=0)
+    ext = make_ext(base, r, seed=0)
+    ko = ext._kops
+    for f in _log_polys(base, ext, p)[:2]:
+        coeffs = _ext_coeff_tuples(f, ext)
+        want = [0] * base.q
+        for t in product(range(base.q), repeat=r):
+            acc = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                acc = ko.eadd(ko.emul(acc, t), c)
+            a, tau = ko.etr(acc), ko.etr(t)
+            for u in range(base.q):
+                want[ko.kadd(a, ko.kmul(u, tau))] += 1
+        assert _count_part((ext, "D", coeffs, None, None, 0, ext.size)) == want
+        assert _log_counts(ext, "D", f) == want
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +695,10 @@ def test_pow_image_walk_equals_full_walk(p, s, r, mode):
 
 
 def test_pow_exponent_below_one_is_rejected_before_enumeration(monkeypatch):
-    import charsums.charsum as cs
-
-    def no_walk(task):
+    def no_walk(*task):
         raise AssertionError("enumerated")
 
-    for name in ("_count_part", "_count_orbits", "_count_coset"):
+    for name in ("_count_part", "_count_orbits", "_count_coset", "_log_tally"):
         monkeypatch.setattr(cs, name, no_walk)
     e2 = make_ext(F7, 2)
     g = Poly.make(F7, (1, 2, 3))

@@ -408,6 +408,16 @@ def test_golden_csv_bytes(name):
     assert csv_without_timing(rows_to_csv(run(config))) == (data / f"{name}.csv").read_text()
 
 
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_csv_bytes_through_the_digit_walks(name, monkeypatch):
+    # with the log-kernel cap below every golden field, each sum takes the
+    # digit walks, the oracle of the log kernel, and gives the same bytes
+    import charsums.charsum as cs
+
+    monkeypatch.setattr(cs, "DLOG_CAP", 1)
+    test_golden_csv_bytes(name)
+
+
 @pytest.mark.parametrize(
     "config, kind",
     [

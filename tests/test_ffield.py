@@ -425,6 +425,65 @@ def test_stored_neg_table_equals_the_extension_neg(ps):
     assert k._neg_tab == [k._ext.neg(a) for a in range(k.q)]
 
 
+@pytest.mark.parametrize("ps", [(7, 1), (3, 2), (2, 6), (2, 7), (3, 4), (5, 3), (11, 2)])
+def test_stored_tables_equal_the_kernel_built_tables(ps):
+    # the oracle: one kernel product or sum per entry, on the digit tuples
+    # of the degree-s extension of F_p (plain ints mod p for a prime field)
+    k = make_field(*ps)
+    if k.s == 1:
+        p = k.p
+        mul = [[a * b % p for b in range(p)] for a in range(p)]
+        add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        walk = [1]
+        for _ in range(p - 2):
+            walk.append(walk[-1] * k.generator % p)
+    else:
+        ext, ko = k._ext, k._ext._kops
+        vecs = [ext.unpack(a) for a in range(k.q)]
+        mul = [[ext.pack(ko.emul(va, vb)) for vb in vecs] for va in vecs]
+        add = [[ext.pack(ko.eadd(va, vb)) for vb in vecs] for va in vecs]
+        walk = [ext.pow_(k.generator, i) for i in range(k.q - 1)]
+    assert k._mul_tab == mul
+    assert k._add_tab == add
+    exp, log = k._dlog
+    assert exp == walk
+    assert log[0] == -1 and all(log[x] == i for i, x in enumerate(exp))
+
+
+# (p, s, r): r = 1 and r > 1, p = 2, composite bases, and r = 1 on the
+# mod-p (F_1031) and generic (F_2048) flavours
+LOG_FIELDS = [(2, 1, 1), (7, 1, 1), (2, 1, 5), (13, 1, 3), (3, 2, 3), (2, 2, 3), (1031, 1, 1), (2, 11, 1)]
+
+
+@pytest.mark.parametrize("p, s, r", LOG_FIELDS)
+def test_log_tables_walk_the_unit_group(p, s, r):
+    ext = make_ext(make_field(p, s), r)
+    tabs = ext._logs
+    units = ext.size - 1
+    # log is a bijection of k_r^* onto Z/N, and 0 has the sentinel
+    assert tabs.log[0] == -1 and sorted(tabs.log[1:]) == list(range(units))
+    assert len(tabs.zech) == len(tabs.trace) == units
+    x = 1
+    for n in range(units):
+        assert tabs.log[x] == n
+        assert tabs.trace[n] == ext.trace_to_base(x)
+        y = ext.add(1, x)
+        assert tabs.zech[n] == (tabs.log[y] if y else -1)
+        x = ext.mul(x, ext.generator_r)
+    assert x == 1  # gamma^N returns to 1
+    assert ext.pow_(ext.generator_r, tabs.half) == ext.neg(1)
+
+
+def test_log_tables_are_capped():
+    from charsums.errors import FieldTooLarge
+    from charsums.ffield import DLOG_CAP
+
+    ext = make_ext(make_field(2, 1), 23)  # q^r = 2^23 exceeds the cap
+    assert ext.size > DLOG_CAP
+    with pytest.raises(FieldTooLarge):
+        ext._logs
+
+
 def test_kernel_over_computed_tables_matches_polyring():
     # r = 2 over F_{37^2}: products mod m_r, x^q by _powmod, and trace and
     # norm as the sum and product of the conjugates x, x^q
