@@ -2,41 +2,41 @@
 
 Every sum is sum_v c_v * chi(v) over v in k, where c_v counts the
 elements of k_r (or of a norm fiber) whose trace or norm index is v.
-On a field with q^r <= ffield.DLOG_CAP the log kernel fills the counts:
-every element but 0 is gamma^i for gamma = generator_r, and the
+One rule, `_walk`, picks the points both kernels visit, the first that
+applies: for a norm fiber N(x) = mu, the class of exponents
+i = i0 mod q - 1 of x = gamma^i, gamma = generator_r, with i0 from the
+logs of k; for f over k at r > 1, one point per Frobenius orbit,
+weighted by the orbit's size, since the summand is constant on orbits;
+for the pow plan x -> x^n, which is d-to-1 on k_r^*, d = gcd(n, q^r - 1),
+its image, the multiples of d, each weighted d; otherwise every
+exponent; and 0 where it belongs.
+
+On a field with q^r <= ffield.DLOG_CAP the log kernel counts them: the
 Zech-logarithm tables `ExtCtx._logs` turn a product into an addition of
 exponents mod q^r - 1 and an addition into one table lookup, so f costs
 one lookup per nonzero coefficient and the trace or norm index one
-more.  It visits a set of exponents: one per Frobenius orbit (a
-cyclotomic coset, weighted by its size) when r > 1 and every
-coefficient of f lies in k, since the summand is constant on orbits;
-the class i = i0 mod q - 1 for a norm fiber; the multiples of
-d = gcd(n, q^r - 1), each weighted d, for the image of x -> x^n; and
-otherwise all of them; and 0 where it belongs.  It runs in the calling
+more; the orbits are the cyclotomic cosets.  It runs in the calling
 process, since on two cores a partition pool cost more than it saved.
 
-Larger fields keep the digit walks, which compute on digit tuples
-through `ExtCtx._kops` and are the log kernel's test oracles.  For f
-over k at r > 1 the orbit walk visits one element per Frobenius orbit
-(a necklace of its coordinates in a normal basis) and adds the orbit's
-size.  Otherwise a norm fiber N(x) = mu is a coset x0 * <gamma^(q-1)>
-of the unit group, and the fiber coset walk visits just its
-(q^r-1)/(q-1) elements, one product per step; the pow plan x -> x^n is
-d-to-1 on k_r^*, so the pow image walk visits its image <gamma^n> the
-same way, each point weighted d, and 0 once; and any other sum takes
-the full walk over every element.  Each index-range partition yields
-exact integer counts, which are added exactly and evaluated once in
-fixed order, so serial runs and worker pools produce bit-identical
-values.  A pool task carries the extension context itself; it pickles
-back into its `make_ext` call, so each worker builds a field once and
-reuses it for every later task.  Multiplicative characters are only
-ever evaluated on the small base field k, after taking norms.
+Larger fields take the digit walks, which compute on digit tuples
+through `ExtCtx._kops` and are the log kernel's test oracles: the orbit
+walk visits one necklace of coordinates in a normal basis per orbit,
+the coset walk one product per point of an exponent progression, and
+the full walk every element by its digits.  A pool splits each walk
+into index ranges by its own number of points; the exact integer counts
+are added exactly and evaluated once, so serial runs and worker pools
+produce bit-identical values.  A pool task carries the extension
+context itself; it pickles back into its `make_ext` call, so each
+worker builds a field once and reuses it for every later task.
+Multiplicative characters are only ever evaluated on the small base
+field k, after taking norms, from the logs of k.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from array import array
 from dataclasses import dataclass
@@ -46,7 +46,7 @@ from itertools import accumulate, chain, islice, product, repeat
 from .errors import CtxMismatch, FieldTooLarge, NotABasis, ZeroMu
 # make_ext and make_field are unused here but stay importable from this
 # module: perfbench/tracer.py rebinds them here to time field construction
-from .ffield import DLOG_CAP, ExtCtx, FieldCtx, FqElem, elem, make_ext, make_field, rank_over
+from .ffield import DLOG_CAP, ExtCtx, FieldCtx, FqElem, _Computed, elem, make_ext, make_field, rank_over
 from .polyring import Poly, evaluate, lift
 
 DEFAULT_CAP = 1 << 24
@@ -121,23 +121,44 @@ class MultChar:
         return self.table()[elem(self.ctx, x).val]
 
 
+def _root(n: int, k: int) -> complex:
+    """zeta_n^k, the one formula for a character value."""
+    return cmath.exp(2j * math.pi * (k / n))
+
+
 @lru_cache(maxsize=64)
 def _unit_roots(n: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * math.pi * (k / n)) for k in range(n))
+    return tuple(_root(n, k) for k in range(n))
+
+
+# Character tables are stored up to the largest q whose q^2 checks (gauss,
+# orthogonality) run, and computed on lookup above it: psi of F_p has p
+# distinct values, 40 bytes each, more than the log tables of the sums.
+_STORED_TABLE_CAP = math.isqrt(DOUBLE_CAP)
+
+
+def _char_table(q: int, n: int, power) -> list[complex]:
+    """t -> zeta_n^power(t) for t in k, and 0 where power(t) is -1."""
+    if q > _STORED_TABLE_CAP:
+        return _Computed(lambda t: _root(n, k) if (k := power(t)) >= 0 else 0j)
+    roots = _unit_roots(n) + (0j,)
+    return [roots[power(t)] for t in range(q)]
 
 
 @lru_cache(maxsize=64)
 def _psi_table(ctx: FieldCtx, b: int) -> list[complex]:
-    zp = _unit_roots(ctx.p)
-    return [zp[ctx.abs_trace(ctx.mul(b, t)) % ctx.p] for t in range(ctx.q)]
+    return _char_table(ctx.q, ctx.p, lambda t: ctx.abs_trace(ctx.mul(b, t)) % ctx.p)
 
 
 @lru_cache(maxsize=64)
 def _chi_table(ctx: FieldCtx, j: int) -> list[complex]:
-    m = ctx.q - 1
-    _, log = ctx._dlog
-    roots = _unit_roots(m)
-    return [0j] + [roots[(j * log[x]) % m] for x in range(1, ctx.q)]
+    # chi_j(x) = zeta_m^(j' log x) for the order m of chi_j and j' = j m/(q-1):
+    # the same float as zeta_(q-1)^(j log x), since k/(q-1) and (k/g)/m are
+    # one rational, correctly rounded
+    n = ctx.q - 1
+    m = n // math.gcd(j, n)
+    jm, log = j * m // n, ctx._log
+    return _char_table(ctx.q, m, lambda x: jm * log[x] % m if x else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +185,19 @@ def _necklaces(q: int, r: int, word=None, period: int = 1):
     (Ruskey, Savage and Wang, "Generating necklaces", J. Algorithms 1992).
 
     It visits every prenecklace a_1..a_r; one whose longest Lyndon prefix
-    has length p is a necklace of period p when p divides r.
+    has length p is a necklace of period p when p divides r.  Raising the
+    last digit of a Lyndon word (p = r) gives the next ones, in one run.
     """
     a = [0, *(word or (0,) * r)]  # a[0] is a sentinel below every digit
     p, top = period, q - 1
     while True:
         if r % p == 0:
             yield tuple(a[1:]), p
+            if p == r:
+                prefix = tuple(a[1:r])
+                for c in range(a[r] + 1, q):
+                    yield prefix + (c,), r
+                a[r] = top
         k = r
         while a[k] == top:
             k -= 1
@@ -196,33 +223,35 @@ def _necklace_spans(q: int, r: int, parts: int) -> list[tuple[tuple, int]]:
     return spans
 
 
+def _plan_ok(inner) -> bool:
+    """The inner plans: None, ("frobsub",) or ("pow", n) with an int n >= 1."""
+    n = inner[1] if isinstance(inner, tuple) and len(inner) == 2 and inner[0] == "pow" else None
+    return inner in (None, ("frobsub",)) or isinstance(n, int) and n >= 1
+
+
 def _inner_fn(ko, inner):
     """Exact evaluation plan for the summation variable.
 
     None: identity.  ("frobsub",): x^q - x.  ("pow", n): x^n.  All plans
     are exact field arithmetic, so any plan equals evaluating the
-    corresponding composed polynomial.  The orbit, fiber coset and full
-    walks apply the plan to every point they visit (the orbit walk may,
-    since every plan commutes with Frobenius); the pow image walk visits
-    the values x^n themselves and applies the identity instead.
+    corresponding composed polynomial.  The orbit walk may apply the plan
+    to its points, since every plan commutes with Frobenius; the pow image
+    walk visits the values x^n themselves and applies the identity.
     """
     if inner is None:
         return lambda x: x
     if inner[0] == "frobsub":
         efrob, esub = ko.efrob, ko.esub
         return lambda x: esub(efrob(x), x)
-    if inner[0] == "pow":
-        n = inner[1]
-        epow = ko.epow
-        return lambda x: epow(x, n)
-    raise ValueError(f"unknown inner plan {inner!r}")
+    n = inner[1]
+    epow = ko.epow
+    return lambda x: epow(x, n)
 
 
-def _tally(ext, mode, coeffs, inner, mu, points) -> list[int]:
+def _tally(ext, mode, coeffs, inner, points) -> list[int]:
     """counts[v] += w for every (x, w) in points, where v is Tr f(x) ("S")
-    or N f(x) ("U") with f applied after the inner plan, restricted to the
-    fiber N(x) = mu when mu is given; or, for "D", v = Tr f(t) + u Tr(t)
-    for every u in k."""
+    or N f(x) ("U") with f applied after the inner plan; or, for "D",
+    v = Tr f(t) + u Tr(t) for every u in k."""
     ko = ext._kops
     q = ext.base.q
     emul, eadd, etr, enorm = ko.emul, ko.eadd, ko.etr, ko.enorm
@@ -244,8 +273,6 @@ def _tally(ext, mode, coeffs, inner, mu, points) -> list[int]:
 
     index = etr if mode == "S" else enorm
     inner_f = _inner_fn(ko, inner)
-    if mu is not None:
-        points = ((x, w) for x, w in points if enorm(x) == mu)
     for x, w in points:
         t = inner_f(x)
         acc = lead
@@ -256,15 +283,12 @@ def _tally(ext, mode, coeffs, inner, mu, points) -> list[int]:
 
 
 def _count_part(task) -> list[int]:
-    """The full walk: every element of an index range of k_r, weight 1.
-
-    It runs for whole-field sums of polynomials with a coefficient outside
-    k, and at r = 1.  With mu given it filters by norm, the oracle the
-    coset walk is tested against.
-    """
-    ext, mode, coeffs, inner, mu, start, stop = task
+    """The full walk: every element of an index range of k_r, weight 1,
+    by its digits and with no product, for a walk that visits every
+    element once (see `_walk`)."""
+    ext, mode, coeffs, inner, start, stop = task
     xs = islice(product(range(ext.base.q), repeat=ext.r), start, stop)
-    return _tally(ext, mode, coeffs, inner, mu, zip(xs, repeat(1)))
+    return _tally(ext, mode, coeffs, inner, zip(xs, repeat(1)))
 
 
 def _count_orbits(task) -> list[int]:
@@ -272,13 +296,12 @@ def _count_orbits(task) -> list[int]:
     orbit's size, over `count` necklaces from `start` on.
 
     For f over k, Tr f(x) and N f(x) are constant on the orbit of x, and
-    so are Tr f(t) + u Tr(t) and the fiber condition N(x) = mu; every
-    inner plan commutes with Frobenius.  In the normal basis Frobenius
-    rotates coordinates, so the orbits are the necklaces of length r over
-    k and an orbit's size is its necklace's period: the weighted counts
-    equal the full walk's exactly.
+    so is Tr f(t) + u Tr(t); every inner plan commutes with Frobenius.
+    In the normal basis Frobenius rotates coordinates, so the orbits are
+    the necklaces of length r over k and an orbit's size is its
+    necklace's period: the weighted counts equal the full walk's exactly.
     """
-    ext, mode, coeffs, inner, mu, start, count = task
+    ext, mode, coeffs, inner, start, count = task
     rows = ext._normal_rows
     first, rest = rows[0], rows[1:]
     eadd = ext._kops.eadd
@@ -291,62 +314,28 @@ def _count_orbits(task) -> list[int]:
                     x = eadd(x, row[c])
             yield x, period
 
-    return _tally(ext, mode, coeffs, inner, mu, points())
-
-
-def _fiber_size(ext) -> int:
-    return (ext.size - 1) // (ext.base.q - 1)
-
-
-def _fiber_coset(ext, mu) -> tuple:
-    """The fiber N(x) = mu as a coset walk (x0, h, m, 1, ()): x0 * <h>.
-
-    With gamma = generator_r, N(gamma^i) = N(gamma)^i and N(gamma)
-    generates k^*, so N is onto with kernel <gamma^(q-1)>, a subgroup of
-    order m = (q^r-1)/(q-1): take h = gamma^(q-1) and x0 = gamma^i0 where
-    N(gamma)^i0 = mu, i0 read off the dlog table of k.  At r = 1 the
-    fiber is {mu} and no dlog is needed.
-    """
-    ko = ext._kops
-    if ext.r == 1:
-        return (mu,), ko.one, 1, 1, ()
-    q = ext.base.q
-    gamma = ext.unpack(ext.generator_r)
-    _, log = ext.base._dlog
-    i0 = log[mu] * pow(log[ko.enorm(gamma)], -1, q - 1) % (q - 1)
-    return ko.epow(gamma, i0), ko.epow(gamma, q - 1), _fiber_size(ext), 1, ()
-
-
-def _pow_image(ext, n) -> tuple:
-    """The values of x -> x^n on k_r as a coset walk (1, h, m, d, ((0, 1),)).
-
-    k_r^* = <gamma> is cyclic, so x -> x^n is d-to-1 on it with
-    d = gcd(n, q^r-1), onto the subgroup <h>, h = gamma^n, of order
-    m = (q^r-1)/d; and 0^n = 0 for n >= 1, once.
-    """
-    ko = ext._kops
-    d = math.gcd(n, ext.size - 1)
-    h = ko.epow(ext.unpack(ext.generator_r), n)
-    return ko.one, h, (ext.size - 1) // d, d, ((ext.unpack(0), 1),)
+    return _tally(ext, mode, coeffs, inner, points())
 
 
 def _count_coset(task) -> list[int]:
-    """The coset walk: x0 * h^i for i in [start, stop), each of weight w,
-    one product per step, for a coset (x0, h, m, w, extra) of m elements
-    from `_fiber_coset` or `_pow_image`.
+    """The coset walk: gamma^i for the exponents i of `part`, a slice of a
+    progression from `_walk`, each of weight w, one product per step, and
+    0 of weight `zero`.
 
-    The part starts at x0 * h^start with one power.  The part that ends
-    the coset also visits the `extra` (point, weight) pairs, and must
-    step back onto x0, or the walk was not the coset.
+    The part starts at gamma^start with one power.  The part that ends
+    the progression must step back onto its first point, or the walk was
+    not a coset.
     """
-    ext, mode, coeffs, inner, (x0, h, m, w, extra), start, stop = task
-    ko = ext._kops
-    walk = accumulate(repeat(h, stop - start), ko.emul, initial=ko.emul(x0, ko.epow(h, start)))
-    last = stop == m
-    points = chain(zip(islice(walk, stop - start), repeat(w)), extra if last else ())
-    counts = _tally(ext, mode, coeffs, inner, None, points)
-    if last and next(walk) != x0:
-        raise RuntimeError(f"the coset walk from {x0} did not return to its start")
+    ext, mode, coeffs, inner, part, w, zero = task
+    ko, units = ext._kops, ext.size - 1
+    gamma = ext.unpack(ext.generator_r)
+    x0 = ko.epow(gamma, part.start)
+    walk = accumulate(repeat(ko.epow(gamma, part.step % units), len(part)), ko.emul, initial=x0)
+    points = chain(zip(islice(walk, len(part)), repeat(w)), [(ext.unpack(0), zero)] if zero else ())
+    counts = _tally(ext, mode, coeffs, inner, points)
+    first = part.start + len(part) * part.step - units  # when this part ends the walk
+    if first >= 0 and next(walk) != (x0 if first == part.start else ko.epow(gamma, first)):
+        raise RuntimeError(f"the coset walk from gamma^{first} did not return to its start")
     return counts
 
 
@@ -362,48 +351,47 @@ def _cyclotomic_cosets(q: int, r: int) -> tuple[array, array]:
 
     They are the Frobenius orbits of k_r^* = <gamma> on exponents, and
     depend on q and r alone.  Multiplying by q rotates the r base-q
-    digits of i, so the sizes divide r.
+    digits of i, most significant first, so the leaders are the necklaces
+    (`_necklaces`, in the same order) and a coset's size is its period;
+    the last necklace, q^r - 1 = 0 mod N, repeats the first.
     """
-    units = q**r - 1
-    seen = bytearray(units)
+    powers = [q**j for j in reversed(range(r))]
     leaders, sizes = array("i"), array("B")
-    i = 0
-    while i >= 0:
-        j, size = i, 0
-        while not seen[j]:
-            seen[j] = 1
-            size += 1
-            j = j * q % units
-        leaders.append(i)
-        sizes.append(size)
-        i = seen.find(0, i + 1)
+    for word, period in _necklaces(q, r):
+        leaders.append(sum(map(operator.mul, word, powers)))
+        sizes.append(period)
+    del leaders[-1], sizes[-1]
     return leaders, sizes
 
 
-def _log_walk(ext, mode, coeffs, inner, mu):
-    """The exponents a sum visits, as (inner, points, zero): the plan to
-    apply, pairs (i, w) for x = gamma^i of weight w, and the weight of 0.
+def _walk(ext, mode, coeffs, inner, mu):
+    """The points a sum visits, the same for both kernels, as (inner,
+    exponents, weight, zero): the plan to apply, x = gamma^i for i in the
+    range `exponents` (None: one leader per Frobenius orbit, weighted by
+    its size), each of weight `weight`, and x = 0 of weight `zero`.
 
-    With gamma = generator_r and N = q^r - 1: a fiber N(x) = mu is the
-    class i = i0 mod q - 1, since N(gamma^i) = gamma^(i m), m = N/(q-1),
-    and gamma^m generates k^*; for f over k at r > 1 the orbit walk takes
-    one leader per Frobenius orbit (`_cyclotomic_cosets`), weighted by its
-    size; an S or U sum with the ("pow", n) plan takes its image, the
-    multiples of d = gcd(n, N), each of weight d; anything else takes
-    range(N).  Every walk but the fiber also visits 0 once.
+    With gamma = generator_r and N = q^r - 1, the first that applies:
+    a fiber N(x) = mu is the class i = i0 mod q - 1, since N(gamma^i) =
+    N(gamma)^i and N(gamma) generates k^*, with i0 from k's logs; for f
+    over k (coefficients packed below q) at r > 1, the Frobenius orbits,
+    on which the summand is constant; an S or U sum with the ("pow", n)
+    plan takes its image, the multiples of d = gcd(n, N), each of weight
+    d, under the identity plan; anything else takes every exponent.
+    Every walk but the fiber also visits 0 once.
     """
     q, units = ext.base.q, ext.size - 1
     if mu is not None:
-        i0, rest = divmod(ext._logs.log[mu], units // (q - 1))
-        if rest:
-            raise RuntimeError(f"mu = {mu} has no norm fiber in {ext!r}")
-        return inner, zip(range(i0, units, q - 1), repeat(1)), 0
+        log, norm = ext.base._log, ext._norm_generator
+        i0 = log[mu] * pow(log[norm], -1, q - 1) % (q - 1)
+        if ext.base.pow_(norm, i0) != mu:
+            raise RuntimeError(f"the fiber of mu = {mu} does not start at gamma^{i0}")
+        return inner, range(i0, units, q - 1), 1, 0
     if ext.r > 1 and all(c < q for c in coeffs):
-        return inner, zip(*_cyclotomic_cosets(q, ext.r)), 1
+        return inner, None, None, 1
     if inner is not None and inner[0] == "pow" and mode != "D":
         d = math.gcd(inner[1], units)
-        return None, zip(range(0, units, d), repeat(d)), 1
-    return inner, zip(range(units), repeat(1)), 1
+        return None, range(0, units, d), d, 1
+    return inner, range(units), 1, 1
 
 
 def _log_tally(ext, mode, coeffs, inner, points, zero) -> list[int]:
@@ -421,11 +409,12 @@ def _log_tally(ext, mode, coeffs, inner, points, zero) -> list[int]:
     tabs = ext._logs
     log, zech, trace = tabs.log, tabs.zech, tabs.trace
     q, units = ext.base.q, ext.size - 1
-    if mode == "U":
+    if mode == "U" and ext.r > 1:
         period, index = q - 1, [0] * (q - 1)
         for v in range(1, q):
             index[log[v] * (q - 1) // units] = v
     else:
+        # at r = 1 the norm is the identity, as the trace is
         period, index = units, trace
     # f(y) = (..((a_d y^g_1 + c_1) y^g_2 + c_2) ..) y^tail over the nonzero
     # coefficients; log 0 = -1 marks the zero value
@@ -436,9 +425,7 @@ def _log_tally(ext, mode, coeffs, inner, points, zero) -> list[int]:
 
     # the plan: x^n has log n * i (no plan: n = 1), and x^q - x has log
     # i + h + zech[(q-1) * i + h], or is 0 for x in k
-    frobsub = inner is not None and inner[0] == "frobsub"
-    if inner is not None and not frobsub and inner[0] != "pow":
-        raise ValueError(f"unknown inner plan {inner!r}")
+    frobsub = inner == ("frobsub",)
     n = inner[1] if inner is not None and not frobsub else 1
     h, step = tabs.half, q - 1
     d_mode = mode == "D"
@@ -479,71 +466,63 @@ def _csum(terms) -> complex:
 def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex:
     """Check, count every term exactly, then evaluate sum_v c_v * char(v).
 
-    The counts come from the log kernel (`_log_walk`, `_log_tally`) when
-    q^r <= DLOG_CAP, and from the digit walks (`_digit_counts`) above
-    it; both give the same exact histogram.
+    `_walk` picks the points; the log kernel (`_log_tally`) counts them
+    when q^r <= DLOG_CAP, and the digit walks (`_digit_counts`) above it;
+    both give the same exact histogram.
     """
+    if not _plan_ok(inner):
+        raise ValueError(f"unknown inner plan {inner!r}: use None, ('frobsub',) or ('pow', n), int n >= 1")
     if mu is not None:
         mu = elem(ext.base, mu).val
         if mu == 0:
             raise ZeroMu("norm fibers are indexed by nonzero mu")
-    if inner is not None and inner[0] == "pow" and inner[1] < 1:
-        raise ValueError(f"the pow plan needs an exponent n >= 1, got {inner[1]}")
     if char.ctx != ext.base:
         raise CtxMismatch("character not on the base field of the extension")
     n, q = ext.size, ext.base.q
     terms = n * q if mode == "D" else n
     if terms > cap:
         raise FieldTooLarge(f"enumeration of {terms} terms exceeds cap {cap}")
-    if n <= DLOG_CAP:
-        coeffs = lift(f, ext).coeffs or (0,)
-        counts = _log_tally(ext, mode, coeffs, *_log_walk(ext, mode, coeffs, inner, mu))
+    coeffs = lift(f, ext).coeffs or (0,)
+    inner, exponents, weight, zero = _walk(ext, mode, coeffs, inner, mu)
+    if n > DLOG_CAP:
+        counts = _digit_counts(mode, coeffs, ext, inner, exponents, weight, zero, pool)
+    elif exponents is None:
+        counts = _log_tally(ext, mode, coeffs, inner, zip(*_cyclotomic_cosets(q, ext.r)), zero)
     else:
-        counts = _digit_counts(mode, f, ext, inner, mu, pool)
-    expected = terms if mu is None else _fiber_size(ext)
+        counts = _log_tally(ext, mode, coeffs, inner, zip(exponents, repeat(weight)), zero)
+    expected = terms if mu is None else (n - 1) // (q - 1)
     if sum(counts) != expected:
         raise RuntimeError(f"counted {sum(counts)} terms, expected {expected}")
+    # sum_v c_v * tab[v] one part at a time, so that no list of terms is
+    # held: fsum rounds each part once, as `_csum` does
     tab = char.table()
-    return _csum(c * tab[v] for v, c in enumerate(counts) if c)
+    return complex(math.fsum((c * tab[v]).real for v, c in enumerate(counts) if c),
+                   math.fsum((c * tab[v]).imag for v, c in enumerate(counts) if c))
 
 
-def _digit_counts(mode, f, ext, inner, mu, pool) -> list[int]:
-    """The counts by the digit walks.
-
-    For r > 1 and f over k they come from the orbit walk
-    (`_count_orbits`).  Otherwise the coset walk (`_count_coset`) takes a
-    fiber sum over its fiber, and an S or U sum with the ("pow", n) plan
-    over the image of x -> x^n, which it then evaluates with the
-    identity plan; any other sum takes the full walk (`_count_part`).
-    A pool splits each walk into as many index ranges as
-    `_part_ranges(q^r)` gives.
+def _digit_counts(mode, coeffs, ext, inner, exponents, weight, zero, pool) -> list[int]:
+    """The counts of the walk `_walk` chose, on digit tuples: the orbit
+    walk (`_count_orbits`) for the orbits, the full walk (`_count_part`)
+    when the exponents and 0 are every element once, and the coset walk
+    (`_count_coset`) otherwise.  A pool splits each walk into as many
+    index ranges as `_part_ranges` gives for its own number of points.
     """
-    coeffs = _ext_coeff_tuples(f, ext)
-    ranges = _part_ranges(ext.size)
-    parallel = pool is not None and len(ranges) > 1
-    parts = len(ranges) if parallel else 1
-    where = mu
-    if ext.r > 1 and not any(any(c[1:]) for c in coeffs):  # f lies over k
-        worker = _count_orbits
-        ranges = _necklace_spans(ext.base.q, ext.r, parts)
-    elif mu is not None:
-        worker, where = _count_coset, _fiber_coset(ext, mu)
-        if ext._kops.enorm(where[0]) != mu:
-            raise RuntimeError(f"the coset of mu = {mu} starts outside its fiber")
-    elif inner is not None and inner[0] == "pow" and mode != "D":
-        worker, where, inner = _count_coset, _pow_image(ext, inner[1]), None
+    q, r = ext.base.q, ext.r
+    coeffs = tuple(map(ext.unpack, coeffs))
+    if exponents is None:
+        worker, total = _count_orbits, _necklace_count(q, r)
+    elif len(exponents) + zero == ext.size:
+        worker, total = _count_part, ext.size
     else:
-        worker = _count_part
-    if worker is _count_coset:
-        m = where[2]
-        ranges = [(i * m // parts, (i + 1) * m // parts) for i in range(parts)]
-    tasks = [(ext, mode, coeffs, inner, where, a, b) for a, b in ranges]
-    mapper = pool.map if parallel else map
+        worker, total = _count_coset, len(exponents)
+    ranges = _part_ranges(total) if pool is not None else [(0, total)]
+    if worker is _count_orbits:
+        ranges = _necklace_spans(q, r, len(ranges))
+    elif worker is _count_coset:
+        ranges = [(exponents[a:b], weight, zero if b == total else 0) for a, b in ranges]
+    tasks = [(ext, mode, coeffs, inner, *span) for span in ranges]
+    mapper = pool.map if len(tasks) > 1 else map
     return [sum(col) for col in zip(*mapper(worker, tasks))]
-
-
-def _ext_coeff_tuples(f: Poly, ext: ExtCtx) -> tuple:
-    return tuple(ext.unpack(c) for c in lift(f, ext).coeffs or (0,))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .charsum import (
     sum_multiplicative,
 )
 from .errors import CharsumsError, ConfigInvalid, FieldTooLarge, Unsatisfiable
-from .ffield import is_prime, make_ext, make_field
+from .ffield import DLOG_CAP, is_prime, make_ext, make_field
 from .invariance import as_reduce, mth_power_test
 from .polyring import (
     Poly,
@@ -222,6 +222,8 @@ def parse_config(data: dict) -> ExperimentConfig:
             errors.append("char.b: additive character must be nontrivial (b != 0 mod q)")
         if kind in ("WeilMult", "TransMult", "HomMult") and (q - 1) % char_m != 0:
             errors.append(f"char.m: {char_m} does not divide q - 1 = {q - 1}")
+        if kind in ("WeilMult", "TransMult", "HomMult") and q > DLOG_CAP:
+            errors.append(f"p: a multiplicative character of F_{q} needs its log table, so q <= 2^22")
         if coeff_list is not None:
             # an integer is a residue mod p only on a prime base field; the
             # homothety kinds read coefficients on k_r, checked on the smallest r
@@ -554,6 +556,8 @@ def check_identity(kind: str, p: int, s: int, r: int, seed: int, trials: int) ->
         raise ConfigInvalid(f"{kind} checks nothing on F_2, whose unit group is trivial")
     if kind == "reassembly-mult" and base.q % 2 == 0:
         raise ConfigInvalid(f"{kind} needs odd q: F_{base.q} has no quadratic character")
+    if kind.startswith("reassembly") and base.q > DLOG_CAP:
+        raise FieldTooLarge(f"{kind} starts each norm fiber from k's log table, which needs q <= 2^22")
 
     if kind == "gauss":
         ok = True

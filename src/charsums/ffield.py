@@ -14,11 +14,13 @@ k[Y]/(m_r)), not rebuilt over F_p, so trace and norm relative to k come
 out as Frobenius sums/products directly.  F_{p^s} (s > 1) is itself the
 degree-s extension of F_p, with the same packing; its add/mul/neg
 tables serve FieldCtx and the kernel.  Up to TABLE_CAP they are stored,
-the product from the exp/log tables `_dlog` and the sum by base-p digit
+the product from k's discrete logs and the sum by base-p digit
 addition; above it they are computed by that extension on lookup.  An
-extension with q^r <= DLOG_CAP also has Zech-logarithm tables over its
+extension with q^r <= DLOG_CAP has Zech-logarithm tables over its
 generator (`ExtCtx._logs`: log, 1 + gamma^n and trace, as arrays),
 built in one walk on first use, on which `charsum`'s log kernel runs.
+They are the only discrete-log tables: k's logs (`FieldCtx._log`) are
+the `log` array of F_p at r = 1 or of F_{p^s} as its extension of F_p.
 `make_field` and `make_ext` share one seeded search for modulus and
 generator (the modulus by `polyring.is_irreducible`), and return one
 context per argument tuple; a context pickles back into that call.
@@ -209,14 +211,14 @@ class FieldCtx:
 
     # _add_tab, _mul_tab and _neg_tab serve every field but a prime one
     # above TABLE_CAP, which has none (None) and computes mod p instead.
-    # Stored tables cost no kernel product: _mul_tab comes from _dlog and
+    # Stored tables cost no kernel product: _mul_tab comes from `_log` and
     # _add_tab adds base-p digits
     @cached_property
     def _mul_tab(self):
         if self.q > TABLE_CAP:
             return self._computed("mul") if self.s > 1 else None
-        exp, log = self._dlog
-        m = self.q - 1
+        log, m = self._log, self.q - 1
+        exp = sorted(range(1, self.q), key=log.__getitem__)
         return [[0] * self.q] + [[0] + [exp[(la + lb) % m] for lb in log[1:]] for la in log[1:]]
 
     @cached_property
@@ -241,23 +243,12 @@ class FieldCtx:
         p = self.p
         return [-a % p for a in range(p)] if p <= TABLE_CAP else None
 
-    @cached_property
-    def _dlog(self):
-        # exp/log tables for the unit group; log[0] = -1 sentinel.  A
-        # composite field walks the generator on the digit tuples of its
-        # extension kernel, since self.mul reads _mul_tab, built from these
-        if self.q > DLOG_CAP:
-            raise FieldTooLarge(f"dlog table capped at q <= 2^22, got q={self.q}")
-        if self.s == 1:
-            exp = list(accumulate(repeat(self.generator, self.q - 2), self.mul, initial=1))
-        else:
-            ext, ko = self._ext, self._ext._kops
-            walk = accumulate(repeat(ext.unpack(self.generator), self.q - 2), ko.emul, initial=ko.one)
-            exp = list(map(ext.pack, walk))
-        log = [-1] * self.q
-        for i, x in enumerate(exp):
-            log[x] = i
-        return exp, log
+    @property
+    def _log(self):
+        # discrete logs over `generator` by packed value (log[0] = -1): the
+        # log array of k's own Zech tables, which F_{p^s} takes from _ext and
+        # F_p from its r = 1 extension, the tables its r = 1 sums run on
+        return (self._ext if self.s > 1 else make_ext(self, 1))._logs.log
 
     # -- arithmetic on packed ints ----------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -384,6 +375,11 @@ class ExtCtx:
     @cached_property
     def _logs(self):
         return _log_tables(self)
+
+    @cached_property
+    def _norm_generator(self) -> int:
+        # N(generator_r), which generates k^*: the norm fibers start from its log
+        return self._kops.enorm(self.unpack(self.generator_r))
 
     # -- normal basis -------------------------------------------------------
     @cached_property
@@ -655,6 +651,40 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
     Tr_{k_r/k}(gamma^n), packed in k; and zech[n] = log(1 + gamma^n), -1
     where 1 + gamma^n = 0, that is at n = half (gamma^half = -1).
 
+    F_p at r = 1, whose `log` is k's own (`FieldCtx._log`), walks
+    x -> gamma * x mod p, since the slot walk (`_slot_walk`) reads `_kops`,
+    whose tables come from these logs; every other field takes the slot walk.
+    """
+    p, size = ext.p, ext.size
+    if size > DLOG_CAP:
+        raise FieldTooLarge(f"log tables capped at q^r <= 2^22, got q^r={size}")
+    units = size - 1
+    log = array("i", [-1]) * size
+    trace = array("i", [0]) * units
+    if size == p:
+        g, v = ext.generator_r, 1
+        for k in range(units):
+            log[v] = k
+            trace[k] = v
+            v = v * g % p
+    else:
+        v = _slot_walk(ext, log, trace)
+    # gamma^N = 1 first at N: the walk met every unit once
+    if v != 1 or log[1] != 0:
+        raise RuntimeError(f"generator {ext.generator_r} of {ext!r} does not have order {units}")
+
+    # 1 + x raises the lowest base-p digit of the packed value by one mod p
+    up = log[1:] + log[:1]
+    up[p - 1::p] = log[::p]
+    zech = array("i", [0]) * units
+    for a, z in zip(islice(log, 1, None), islice(up, 1, None)):
+        zech[a] = z
+    return SimpleNamespace(log=log, zech=zech, trace=trace, half=log[p - 1])
+
+
+def _slot_walk(ext: ExtCtx, log, trace) -> int:
+    """Fill log and trace by the walk n -> gamma^n, and return gamma^N.
+
     x -> gamma * x is F_p-linear on the r * s base-p digits of the packed
     value.  The walk keeps each digit of x, and the s digits of Tr(x),
     in a slot of one int.  A step reads each slot once, in a table that
@@ -663,8 +693,6 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
     slot holds a sum of r * s digits and is reduced mod p when read.
     """
     p, size, s = ext.p, ext.size, ext.base.s
-    if size > DLOG_CAP:
-        raise FieldTooLarge(f"log tables capped at q^r <= 2^22, got q^r={size}")
     units, n = size - 1, ext.r * s
     width = max(1, (n * (p - 1)).bit_length())
     mask, top = (1 << width) - 1, width * (n + s)
@@ -698,8 +726,6 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
         else:
             shift = width * i
         reads.append((shift, len(table) - 1, table))
-    log = array("i", [-1]) * size
-    trace = array("i", [0]) * units
     x = slots(1, 0) | slots(ext.r % p, n)  # 1, and Tr(1) = r
     below = (1 << top) - 1
     for k in range(units + 1):
@@ -708,21 +734,10 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
             y += table[x >> shift & bits]
         t, v = divmod(y >> top, size)
         if k == units:
-            break
+            return v
         log[v] = k
         trace[k] = t
         x = y & below
-    # gamma^N = 1 first at N: the walk met every unit once
-    if v != 1 or log[1] != 0:
-        raise RuntimeError(f"generator {ext.generator_r} of {ext!r} does not have order {units}")
-
-    # 1 + x raises the lowest base-p digit of the packed value by one mod p
-    up = log[1:] + log[:1]
-    up[p - 1::p] = log[::p]
-    zech = array("i", [0]) * units
-    for a, z in zip(islice(log, 1, None), islice(up, 1, None)):
-        zech[a] = z
-    return SimpleNamespace(log=log, zech=zech, trace=trace, half=log[p - 1])
 
 
 def make_ext(base: FieldCtx, r: int, seed: int = 0) -> ExtCtx:
@@ -868,5 +883,4 @@ def dlog(x: FqElem, ctx: FieldCtx) -> int:
         raise CtxMismatch("element from another field")
     if x.val == 0:
         raise ZeroElement("dlog of zero")
-    _, log = ctx._dlog
-    return log[x.val]
+    return ctx._log[x.val]

@@ -12,17 +12,17 @@ from charsums import FqElem, make_ext, make_field
 from charsums.charsum import (
     AdditiveChar,
     MultChar,
+    _chi_table,
     _count_coset,
     _count_orbits,
     _count_part,
     _csum,
-    _ext_coeff_tuples,
-    _fiber_coset,
+    _cyclotomic_cosets,
     _necklace_count,
     _necklace_spans,
     _necklaces,
     _part_ranges,
-    _pow_image,
+    _unit_roots,
     counting_identity_holds,
     double_sum_check,
     fiber_sum_additive,
@@ -41,6 +41,31 @@ F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 F7 = make_field(7, 1)
 F13 = make_field(13, 1)
+
+
+def _ext_coeff_tuples(f, ext):
+    return tuple(ext.unpack(c) for c in lift(f, ext).coeffs or (0,))
+
+
+def _full(ext, mode, coeffs, inner=None, mu=None, span=None):
+    """The full walk over an index range of k_r, the oracle of every walk;
+    with mu given, only the x with N(x) = mu."""
+    start, stop = span or (0, ext.size)
+    if mu is None:
+        return _count_part((ext, mode, coeffs, inner, start, stop))
+    enorm = ext._kops.enorm
+    xs = islice(product(range(ext.base.q), repeat=ext.r), start, stop)
+    return cs._tally(ext, mode, coeffs, inner, ((x, 1) for x in xs if enorm(x) == mu))
+
+
+def _coset_walk_counts(ext, mode, coeffs, inner, exponents, weight, zero, parts):
+    """The coset walk over the progression `exponents` in `parts` slices,
+    0 going with the last, as `_digit_counts` splits it."""
+    m = len(exponents)
+    bounds = [i * m // parts for i in range(parts + 1)]
+    tasks = [(ext, mode, coeffs, inner, exponents[a:b], weight, zero if b == m else 0)
+             for a, b in zip(bounds, bounds[1:])]
+    return [sum(col) for col in zip(*map(_count_coset, tasks))]
 
 
 def test_additive_char_is_multiplicative_on_sums():
@@ -73,6 +98,24 @@ def test_mult_char_properties():
     for x in range(13):
         v = abs(chi.value(x))
         assert v == 0 or abs(v - 1) < 1e-12
+
+
+@pytest.mark.parametrize("ps", [(2, 1), (3, 1), (13, 1), (1031, 1), (3, 2), (2, 6), (37, 2)])
+def test_chi_table_equals_the_unit_root_construction(ps):
+    # chi_j(g^i) = zeta_(q-1)^(j i) from the roots of order q - 1 and logs
+    # from a walk of the generator, bit for bit, for every j (a sample of
+    # j on the larger fields)
+    ctx = make_field(*ps)
+    n = ctx.q - 1
+    log, x = [-1] * ctx.q, 1
+    for i in range(n):
+        log[x] = i
+        x = ctx.mul(x, ctx.generator)
+    roots = _unit_roots(n)
+    js = range(n) if n <= 64 else [0, 1, 2, n // 2, n // 3, n - 1, 7 * n // 12]
+    for j in js:
+        want = [0j] + [roots[j * log[x] % n] for x in range(1, ctx.q)]
+        assert list(map(repr, _chi_table(ctx, j))) == list(map(repr, want)), j
 
 
 def test_gauss_sum_trivial_chi():
@@ -321,19 +364,32 @@ def _pool_calls():
     # a coefficient outside k (packed 5 has digit 1 at Y^1) keeps h7 off the
     # orbit walk
     h7 = Poly.make(e7, (2, 5, 1))
+    # walks of at least 2^14 points, which the digit walks split: 19,684
+    # necklaces of F_7^6, and 21,845 points in a fiber and in the image of
+    # x -> x^3 on F_4^8
+    e76, e8 = make_ext(F7, 6), make_ext(f4, 8)
+    g7, h8 = Poly.make(F7, (1, 5, 0, 1)), Poly.make(e8, (2, 5, 1))
+    # over F_2 the fiber N(x) = 1 is every unit: all exponents, without 0
+    f2 = make_field(2, 1)
+    e25 = make_ext(f2, 5)
     return [
         lambda pool: sum_additive(g, psi, e4, inner=("frobsub",), pool=pool),
         lambda pool: sum_multiplicative(h, chi4, e7, pool=pool),
         lambda pool: fiber_sum_additive(h, psi4, e7, 2, pool=pool),
         lambda pool: fiber_sum_multiplicative(h, chi4, e7, 3, pool=pool),
         lambda pool: double_sum_check(h, psi4, e7, pool=pool),
-        # the pow plan takes the image walk, split into partitions
+        # the pow plan takes the image walk
         lambda pool: sum_additive(h7, psi4, e7, inner=("pow", 3), pool=pool),
         # with no inner plan h7 takes the full walk, split into partitions
         lambda pool: sum_additive(h7, psi4, e7, pool=pool),
-        # fibers of h7 take the coset walk, split into partitions
+        # fibers of h7 take the coset walk
         lambda pool: fiber_sum_additive(h7, psi4, e7, 2, pool=pool),
         lambda pool: fiber_sum_multiplicative(h7, chi4, e7, 3, pool=pool),
+        lambda pool: sum_additive(g7, AdditiveChar.canonical(F7), e76, inner=("frobsub",), pool=pool),
+        lambda pool: fiber_sum_additive(h8, psi4, e8, 2, pool=pool),
+        lambda pool: sum_additive(h8, psi4, e8, inner=("pow", 3), pool=pool),
+        lambda pool: fiber_sum_additive(Poly.make(f2, (1, 1, 0, 1)), AdditiveChar.canonical(f2), e25, 1,
+                                        pool=pool),
     ]
 
 
@@ -356,13 +412,20 @@ def test_pool_and_serial_agree_bitwise_on_the_digit_walks(monkeypatch):
     calls = _pool_calls()
     log_kernel = [call(None) for call in calls]
     monkeypatch.setattr(cs, "DLOG_CAP", 1)
-    parts = []
-    monkeypatch.setattr(cs, "_part_ranges", lambda n, f=cs._part_ranges: parts.append(n) or f(n))
     serial = [call(None) for call in calls]
-    assert len(parts) == len(calls)
+    points = []
+    monkeypatch.setattr(cs, "_part_ranges", lambda n, f=cs._part_ranges: points.append(n) or f(n))
     with ProcessPoolExecutor(max_workers=4) as pool:
         parallel = [call(pool) for call in calls]
     assert serial == parallel == log_kernel
+    # each walk is split by its own number of points: necklaces, the
+    # (4^7 - 1)/3 points of a fiber or of the image of x -> x^3, or 4^7
+    orbits, third = _necklace_count(4, 7), (4**7 - 1) // 3
+    assert points == [
+        _necklace_count(13, 4), orbits, third, third, orbits, third, 4**7, third, third,
+        _necklace_count(7, 6), (4**8 - 1) // 3, (4**8 - 1) // 3, 2**5 - 1,
+    ]
+    assert [len(_part_ranges(n)) for n in points] == [1] * 6 + [16, 1, 1] + [16] * 3 + [1]
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +462,33 @@ def test_necklace_spans_split_the_stream_in_order(q, r, parts):
     assert joined == list(_necklaces(q, r))
 
 
+def _marked_cosets(q, r):
+    """The cyclotomic cosets of Z/(q^r - 1) by a marking pass: from each
+    unmarked i, mark i * q^j until the coset closes."""
+    units = q**r - 1
+    seen = bytearray(units)
+    leaders, sizes = [], []
+    i = 0
+    while i >= 0:
+        j, size = i, 0
+        while not seen[j]:
+            seen[j] = 1
+            size += 1
+            j = j * q % units
+        leaders.append(i)
+        sizes.append(size)
+        i = seen.find(0, i + 1)
+    return leaders, sizes
+
+
+@pytest.mark.parametrize("q, r", [(2, r) for r in range(1, 13)]
+                         + [(3, r) for r in range(1, 8)]
+                         + [(4, 5), (5, 4), (7, 3), (9, 3), (13, 1), (13, 2), (13, 4)])
+def test_cyclotomic_cosets_are_the_necklaces(q, r):
+    leaders, sizes = _cyclotomic_cosets.__wrapped__(q, r)
+    assert (list(leaders), list(sizes)) == _marked_cosets(q, r)
+
+
 # (p, s, r): the table flavour on a prime and on a composite base, r = 2..5
 ORBIT_FIELDS = [(13, 1, 2), (13, 1, 3), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 1, 5)]
 # (mode, inner plan, fiber): S, U, D and both fiber modes
@@ -417,10 +507,15 @@ ORBIT_CELLS = [
 
 def _orbit_and_full_counts(ext, mode, g, inner, mu, parts=3):
     coeffs = _ext_coeff_tuples(g, ext)
-    full = _count_part((ext, mode, coeffs, inner, mu, 0, ext.size))
+    full = _full(ext, mode, coeffs, inner, mu)
+    if mu is not None:
+        # a fiber of f over k takes the coset walk of its exponent class, as
+        # every fiber does (see `_walk`)
+        plan, exponents, weight, zero = cs._walk(ext, mode, lift(g, ext).coeffs, inner, mu)
+        return _coset_walk_counts(ext, mode, coeffs, plan, exponents, weight, zero, parts), full
     spans = _necklace_spans(ext.base.q, ext.r, parts)
     orbit = [sum(col) for col in zip(*(
-        _count_orbits((ext, mode, coeffs, inner, mu, start, n)) for start, n in spans
+        _count_orbits((ext, mode, coeffs, inner, start, n)) for start, n in spans
     ))]
     return orbit, full
 
@@ -446,28 +541,29 @@ def test_orbit_walk_equals_full_walk_mod_p_flavour():
 
 
 def _routing_cases():
-    """(f, ext, mu, pow exponent, digit walk, log walk) for each route."""
+    """(f, ext, mu, pow exponent, walk) for each route, the same in both
+    kernels."""
     e1, e2 = make_ext(F7, 1), make_ext(F7, 2)
     g = Poly.make(F7, (1, 2, 3))
     h = Poly.make(e2, (1, 9, 3))  # 9 = 2 + Y lies outside k
     return [
-        (g, e1, None, None, "full", "full"),  # r = 1
-        (g, e2, None, None, "orbit", "orbit"),
-        (h, e2, None, None, "full", "full"),
-        # norm fibers, mu = 3: on exponents every fiber is its class
-        (h, e2, 3, None, "fiber", "fiber"),
-        (g, e2, 3, None, "orbit", "fiber"),
-        (g, e1, 3, None, "fiber", "fiber"),  # r = 1
+        (g, e1, None, None, "full"),  # r = 1
+        (g, e2, None, None, "orbit"),
+        (h, e2, None, None, "full"),
+        # norm fibers, mu = 3: every fiber is its class, g over k too
+        (h, e2, 3, None, "fiber"),
+        (g, e2, 3, None, "fiber"),
+        (g, e1, 3, None, "fiber"),  # r = 1
         # the pow plan, n = 3: the image walk unless the orbit walk applies
-        (h, e2, None, 3, "image", "image"),
-        (g, e1, None, 3, "image", "image"),  # r = 1
-        (g, e2, None, 3, "orbit", "orbit"),
+        (h, e2, None, 3, "image"),
+        (g, e1, None, 3, "image"),  # r = 1
+        (g, e2, None, 3, "orbit"),
     ]
 
 
 def _digit_walk(name, task):
     if name == "_count_coset":
-        weight = task[4][3]  # d for the pow image, 1 for a fiber
+        weight = task[5]  # d for the pow image, 1 for a fiber
         return "image" if weight > 1 else "fiber"
     return {"_count_part": "full", "_count_orbits": "orbit"}[name]
 
@@ -491,8 +587,8 @@ def _log_walk_name(ext, inner, points, zero):
 
 def test_enumerate_takes_the_orbit_walk_exactly_for_f_over_k(monkeypatch):
     # below ffield.DLOG_CAP every sum runs on exponents, above it (the cap
-    # lowered below F_7) on digits; on both sides the orbit walk runs
-    # exactly for f over k at r > 1
+    # lowered below F_7) on digits; on both sides `_walk` picks the same
+    # walk, and the orbit walk runs exactly for f over k at r > 1 off a fiber
     seen = []
     for name in ("_count_part", "_count_orbits", "_count_coset"):
         fn = getattr(cs, name)
@@ -510,8 +606,7 @@ def test_enumerate_takes_the_orbit_walk_exactly_for_f_over_k(monkeypatch):
     for log_kernel in (True, False):
         if not log_kernel:
             monkeypatch.setattr(cs, "DLOG_CAP", 1)
-        for f, ext, mu, n, digit_walk, log_walk in _routing_cases():
-            walk = log_walk if log_kernel else digit_walk
+        for f, ext, mu, n, walk in _routing_cases():
             if mu is not None:
                 seen.clear()
                 fiber_sum_additive(f, psi, ext, mu)
@@ -557,12 +652,14 @@ def _log_polys(base, ext, seed):
 
 def _log_counts(ext, mode, f, inner=None, mu=None):
     coeffs = lift(f, ext).coeffs or (0,)
-    return cs._log_tally(ext, mode, coeffs, *cs._log_walk(ext, mode, coeffs, inner, mu))
+    inner, exponents, weight, zero = cs._walk(ext, mode, coeffs, inner, mu)
+    points = zip(*_cyclotomic_cosets(ext.base.q, ext.r)) if exponents is None else (
+        (i, weight) for i in exponents)
+    return cs._log_tally(ext, mode, coeffs, inner, points, zero)
 
 
 def _full_counts(ext, mode, f, inner=None, mu=None, span=None):
-    start, stop = span or (0, ext.size)
-    return _count_part((ext, mode, _ext_coeff_tuples(f, ext), inner, mu, start, stop))
+    return _full(ext, mode, _ext_coeff_tuples(f, ext), inner, mu, span)
 
 
 @pytest.mark.parametrize("p, s, r", LOG_FIELDS)
@@ -606,7 +703,7 @@ def test_double_sum_counts_equal_the_u_loop(p, s, r):
             a, tau = ko.etr(acc), ko.etr(t)
             for u in range(base.q):
                 want[ko.kadd(a, ko.kmul(u, tau))] += 1
-        assert _count_part((ext, "D", coeffs, None, None, 0, ext.size)) == want
+        assert _full(ext, "D", coeffs) == want
         assert _log_counts(ext, "D", f) == want
 
 
@@ -620,15 +717,10 @@ def test_double_sum_counts_equal_the_u_loop(p, s, r):
 COSET_FIELDS = [(13, 1, 3), (3, 2, 3), (7, 1, 4), (1031, 1, 1), (2, 11, 1)]
 
 
-def _walk_counts(ext, mode, coeffs, coset, parts):
-    m = coset[2]
-    bounds = [i * m // parts for i in range(parts + 1)]
-    tasks = [(ext, mode, coeffs, None, coset, a, b) for a, b in zip(bounds, bounds[1:])]
-    return [sum(col) for col in zip(*map(_count_coset, tasks))]
-
-
 def _coset_counts(ext, mode, coeffs, mu, parts):
-    return _walk_counts(ext, mode, coeffs, _fiber_coset(ext, mu), parts)
+    inner, exponents, weight, zero = cs._walk(ext, mode, (), None, mu)
+    assert (len(exponents), weight, zero) == ((ext.size - 1) // (ext.base.q - 1), 1, 0)
+    return _coset_walk_counts(ext, mode, coeffs, inner, exponents, weight, zero, parts)
 
 
 @pytest.mark.parametrize("p, s, r", COSET_FIELDS)
@@ -640,7 +732,7 @@ def test_coset_walk_equals_filtered_full_walk_for_every_mu(p, s, r, mode):
     g = random_poly(ext, 2, random.Random(p * 100 + r))
     coeffs = _ext_coeff_tuples(g, ext)
     for mu in range(1, base.q):
-        full = _count_part((ext, mode, coeffs, None, mu, 0, ext.size))
+        full = _full(ext, mode, coeffs, mu=mu)
         assert _coset_counts(ext, mode, coeffs, mu, 1) == full
 
 
@@ -687,11 +779,12 @@ def test_pow_image_walk_equals_full_walk(p, s, r, mode):
     ns = _exponents(units)
     assert [math.gcd(n, units) > 1 for n in ns] == [False, True, True]
     for n in ns:
-        full = _count_part((ext, mode, coeffs, ("pow", n), None, 0, ext.size))
-        image = _pow_image(ext, n)
-        assert image[2] * image[3] == units
+        full = _full(ext, mode, coeffs, ("pow", n))
+        inner, exponents, weight, zero = cs._walk(ext, mode, lift(g, ext).coeffs, ("pow", n), None)
+        assert inner is None and len(exponents) * weight == units and zero == 1
         for parts in (1, 3, 16):
-            assert _walk_counts(ext, mode, coeffs, image, parts) == full, (n, parts)
+            got = _coset_walk_counts(ext, mode, coeffs, None, exponents, weight, zero, parts)
+            assert got == full, (n, parts)
 
 
 def test_pow_exponent_below_one_is_rejected_before_enumeration(monkeypatch):
@@ -709,3 +802,37 @@ def test_pow_exponent_below_one_is_rejected_before_enumeration(monkeypatch):
                 sum_additive(f, AdditiveChar.canonical(F7), ext, inner=("pow", n))
             with pytest.raises(ValueError, match="n >= 1"):
                 sum_multiplicative(f, MultChar.quadratic(F7), ext, inner=("pow", n))
+
+
+@pytest.mark.parametrize("inner", [
+    ("bogus",), ("pow",), ("pow", 2.0), ("pow", 0), ("pow", 2, 3), ["frobsub"], ("frobsub", 1), "pow",
+])
+def test_inner_plan_is_checked_before_any_table_or_walk(inner, monkeypatch):
+    import charsums.ffield as ff
+
+    def no_table(*args):
+        raise AssertionError("built a table or took a walk")
+
+    ext = make_ext(F13, 5, seed=3)  # a context no other test uses
+    monkeypatch.setattr(ff, "_log_tables", no_table)
+    for name in ("_walk", "_count_part", "_count_orbits", "_count_coset", "_log_tally"):
+        monkeypatch.setattr(cs, name, no_table)
+    g = Poly.make(F13, (1, 2, 3))
+    with pytest.raises(ValueError, match="unknown inner plan"):
+        sum_additive(g, AdditiveChar.canonical(F13), ext, inner=inner)
+    with pytest.raises(ValueError, match="unknown inner plan"):
+        sum_multiplicative(g, MultChar.quadratic(F13), ext, inner=inner)
+    assert "_logs" not in ext.__dict__
+
+
+def test_fiber_start_is_checked_against_the_arithmetic_of_k(monkeypatch):
+    # logs of k that disagree with its products must not start a fiber walk
+    # off its fiber: swap the logs of mu and of one other unit
+    ext = make_ext(F13, 2)
+    norm = ext._kops.enorm(ext.unpack(ext.generator_r))
+    mu, other = [x for x in range(1, 13) if x != norm][:2]
+    log = list(F13._log)
+    log[mu], log[other] = log[other], log[mu]
+    monkeypatch.setattr(type(F13), "_log", property(lambda self: log))
+    with pytest.raises(RuntimeError, match="does not start"):
+        fiber_sum_additive(Poly.make(F13, (1, 1)), AdditiveChar.canonical(F13), ext, mu)

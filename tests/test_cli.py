@@ -206,6 +206,27 @@ def test_parse_config_rejects_bad_e_r_and_cap_overflow(tmp_path, capsys, monkeyp
     assert len(err) == 1 and err[0].startswith(f"config error: {field}: ")
 
 
+@pytest.mark.parametrize("kind", ["WeilMult", "TransMult", "HomMult"])
+def test_parse_config_rejects_multiplicative_kinds_above_the_log_cap(tmp_path, capsys, monkeypatch, kind):
+    # a multiplicative character of k reads k's log table, which exists for
+    # q <= ffield.DLOG_CAP = 2^22; 4194319 is the least prime above it
+    over = {"kind": kind, "p": 4194319, "r": [1], "d": [3], "e": [2], "char": {"m": 2}, "cap": 1 << 23}
+    if kind != "HomMult":
+        del over["e"]
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_config(cfg(**over))
+    assert exc.value.messages == ["p: a multiplicative character of F_4194319 needs its log table, "
+                                  "so q <= 2^22"]
+    monkeypatch.setattr(cli, "make_field", lambda *args, **kwargs: pytest.fail("a field was built"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg(**over)))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: p: ")
+    # the additive kinds need no log table of k
+    parse_config(cfg(**dict(over, kind=kind.replace("Mult", "Add"))))
+
+
 def test_flags_recomputable_from_rows():
     config = parse_config(cfg())
     for row in run(config):
@@ -458,11 +479,14 @@ def test_translation_rows_when_p_divides_d(tmp_path, capsys, config, kind):
         (["check-identity", "reassembly-mult", "--p", "2"], "checks nothing on F_2"),
         (["check-identity", "reassembly-mult", "--p", "2", "--s", "2"], "no quadratic character"),
         (["check-identity", "orthogonality", "--p", "2", "--s", "14"], "above the cap"),
+        (["check-identity", "reassembly-add", "--p", "4194319", "--r", "1"], "needs q <= 2^22"),
+        (["check-identity", "reassembly-mult", "--p", "4194319", "--r", "1"], "needs q <= 2^22"),
     ],
     ids=["s-zero", "r-zero", "counting-r-zero", "r-negative", "trials-zero",
          "trials-negative", "gen-s-zero", "gen-d-zero", "gen-d-negative", "gen-odd-even-d",
          "gen-odd-nonzero-constant", "gauss-F2", "reassembly-add-F2", "reassembly-mult-F2",
-         "reassembly-mult-F4", "orthogonality-q2-cap"],
+         "reassembly-mult-F4", "orthogonality-q2-cap", "reassembly-add-log-cap",
+         "reassembly-mult-log-cap"],
 )
 def test_bad_identity_and_gen_arguments_are_one_error_line(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "make_ext", lambda *a, **k: pytest.fail("an extension was built"))

@@ -184,6 +184,9 @@ def test_dlog_cap():
     big = make_field(2, 23, seed=0)  # q = 2^23 exceeds the dlog cap
     with pytest.raises(FieldTooLarge):
         dlog(FqElem(big, 1), big)
+    prime = make_field(4194319, 1)  # the least prime above 2^22
+    with pytest.raises(FieldTooLarge):
+        dlog(FqElem(prime, 1), prime)
 
 
 def test_ctx_mismatch_raised():
@@ -445,9 +448,26 @@ def test_stored_tables_equal_the_kernel_built_tables(ps):
         walk = [ext.pow_(k.generator, i) for i in range(k.q - 1)]
     assert k._mul_tab == mul
     assert k._add_tab == add
-    exp, log = k._dlog
-    assert exp == walk
-    assert log[0] == -1 and all(log[x] == i for i, x in enumerate(exp))
+    log = k._log
+    assert log[0] == -1 and all(log[x] == i for i, x in enumerate(walk))
+
+
+@pytest.mark.parametrize("ps", [(2, 1), (7, 1), (1031, 1), (65537, 1), (3, 2), (2, 6), (37, 2), (2, 11)])
+def test_k_logs_are_the_log_array_of_its_own_zech_tables(ps):
+    # k's discrete logs are one array, the `log` of F_p at r = 1 or of
+    # F_{p^s} as its extension of F_p; a walk of the generator by plain
+    # products (FieldCtx.mul mod p, or the extension's digit kernel, which
+    # reads only F_p's tables) meets every unit at its log
+    k = make_field(*ps)
+    owner = k._ext if k.s > 1 else make_ext(k, 1)
+    assert k._log is owner._logs.log
+    mul = k.mul if k.s == 1 else k._ext.mul
+    log, x = k._log, 1
+    assert log[0] == -1
+    for i in range(k.q - 1):
+        assert log[x] == i
+        x = mul(x, k.generator)
+    assert x == 1
 
 
 # (p, s, r): r = 1 and r > 1, p = 2, composite bases, and r = 1 on the
