@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +215,19 @@ def test_resultant_sequence_exact_product_over_tuples(ctx, roots, n):
     # exact oracle: coefficients, constants and multiplicities, not root sets
     g = _tuple_sum_product(ctx, roots, 1)
     assert resultant_sequence(g, n).coeffs == _tuple_sum_product(ctx, roots, n).coeffs
+
+
+SEQUENCES = json.loads((Path(__file__).parent / "data" / "sequence_coefficients.json").read_text())
+
+
+@pytest.mark.parametrize("case", SEQUENCES, ids=[c["name"] for c in SEQUENCES])
+def test_resultant_sequence_matches_recorded_coefficients(case):
+    # g that do not split over k, so no product over tuples of roots in k
+    # can check them: g_n as recorded by interpolation on extensions of k
+    ctx = make_field(case["p"], case["s"])
+    g = Poly(ctx, tuple(case["g"]))
+    for n, coeffs in case["g_n"].items():
+        assert resultant_sequence(g, int(n)).coeffs == tuple(coeffs), n
 
 
 def test_resultant_sequence_leading_coefficient_non_monic():
