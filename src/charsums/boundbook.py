@@ -6,6 +6,10 @@ explicit main term that must be subtracted before bounding the remainder.
 Reports never enumerate field elements; the sums they are compared
 against come from the oracles in `charsum`.
 
+The TransMult gate reads g_r(0) off the resultant sequence g_n (roots: the
+n-fold sums of the roots of g), whose steps are characteristic polynomials
+over k: no extension of k is built.
+
 Kinds: WeilAdd, WeilMult, TransAdd, TransAddExc, TransAddSp,
 TransAddSpExc, TransMult, TransMultExc, HomAdd, HomMult.
 """
@@ -13,9 +17,9 @@ TransAddSpExc, TransMult, TransMultExc, HomAdd, HomMult.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .charsum import AdditiveChar, MultChar, gauss_sum
 from .errors import (
@@ -25,16 +29,15 @@ from .errors import (
     RootsNotInBaseField,
     SequenceMismatch,
 )
-from .ffield import ExtCtx, FieldCtx, make_ext
+from .ffield import ExtCtx, FieldCtx, FqElem
 from .localdata import LocalData, compute_local_data
 from .polyring import (
     Parity,
     Poly,
     compose,
     discriminant,
-    interpolate,
+    evaluate,
     is_squarefree,
-    lift,
     parity_check,
     resultant,
     root_structure,
@@ -109,60 +112,92 @@ def bound_constant_multiplicative(d: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sequence_step(gn: Poly, g: Poly) -> Poly:
-    ctx = gn.ctx
-    target_deg = gn.degree * g.degree
-    n_pts = target_deg + 1
-    if ctx.q > target_deg:
-        fld = ctx
-        gn_l, g_l = gn, g
-    else:
-        r_star = 2
-        while ctx.q**r_star <= target_deg:
-            r_star += 1
-        fld = make_ext(ctx, r_star, seed=1)
-        gn_l, g_l = lift(gn, fld), lift(g, fld)
-    minus_one = fld.neg(1)
+def _charpoly(ctx, m: list[list[int]]) -> list[int]:
+    """det(x I - M), coefficients ascending, for a square matrix M over k =
+    ctx (rows of packed values, overwritten), mod p or on k's tables.
 
-    def value_at(x0: int) -> int:
-        # g_{n+1}(x0) = Res_t(g_n(t), g(x0 - t))
-        return resultant(gn_l, compose(g_l, Poly(fld, (x0, minus_one)))).val
+    A similarity brings M to upper Hessenberg form H: per column, a nonzero
+    pivot is swapped (rows and columns) onto the subdiagonal, and its row
+    clears the entries below it, with the inverse column operation.  Then
+    p_0 = 1, p_{k+1} = (x - h_kk) p_k - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_i
+    give det(x I - H) = p_n.
+    """
+    p, n = ctx.p, len(m)
+    if ctx.size == p:
+        def axpy(u, xs, ys):  # ys - u * xs
+            return [(y - u * x) % p for x, y in zip(xs, ys)]
 
-    if fld is ctx:
-        pts = list(range(n_pts))
-        vals = [value_at(x0) for x0 in pts]
+        def dot(c, us, xs):  # c + us . xs
+            return (c + sum(map(operator.mul, us, xs))) % p
     else:
-        # g_{n+1} has coefficients in k, so g_{n+1}(x0^q) = g_{n+1}(x0)^q:
-        # one resultant gives the values on the whole Frobenius orbit of x0.
-        # The q elements of k (packed values below q) are orbits of size 1,
-        # so they come last.
-        pts, vals, seen = [], [], set()
-        for x0 in chain(range(ctx.q, fld.size), range(ctx.q)):
-            if len(pts) >= n_pts:
+        at, mt = ctx._add_tab, ctx._mul_tab
+
+        def axpy(u, xs, ys):
+            row = mt[ctx.neg(u)]
+            return [at[y][row[x]] for x, y in zip(xs, ys)]
+
+        def dot(c, us, xs):
+            for u, x in zip(us, xs):
+                c = at[c][mt[u][x]]
+            return c
+
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if m[i][j]), j + 1)
+        m[piv], m[j + 1] = m[j + 1], m[piv]
+        for row in m:
+            row[piv], row[j + 1] = row[j + 1], row[piv]
+        top = m[j + 1][j:]
+        if not top[0]:
+            continue
+        inv = ctx.inv(top[0])
+        us = [ctx.mul(m[i][j], inv) for i in range(j + 2, n)]
+        if any(us):
+            for i, u in enumerate(us, j + 2):
+                if u:
+                    m[i][j:] = axpy(u, top, m[i][j:])
+            for row in m:
+                row[j + 1] = dot(row[j + 1], us, row[j + 2 :])
+    polys = [[1]]
+    for k in range(n):
+        acc = [0] + polys[k]
+        acc[: k + 1] = axpy(m[k][k], polys[k], acc[: k + 1])
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = ctx.mul(t, m[i + 1][i])
+            if not t:
                 break
-            if x0 not in seen:
-                x, v = x0, value_at(x0)
-                while x not in seen:
-                    seen.add(x)
-                    pts.append(x)
-                    vals.append(v)
-                    x, v = fld.frobenius(x), fld.frobenius(v)
-        pts, vals = pts[:n_pts], vals[:n_pts]
-    res = interpolate(fld, pts, vals)
-    if fld is not ctx:
-        out = []
-        for c in res.coeffs:
-            digits = fld.unpack(c)
-            assert all(dd == 0 for dd in digits[1:]), "sequence coefficients must lie in k"
-            out.append(digits[0])
-        res = Poly(ctx, tuple(out))
-    # Res_t(g_n(t), g(x - t)) = lc(g_n)^deg g lc(g)^deg g_n prod (x - a - b)
-    lead = ctx.mul(ctx.pow_(gn.lead, g.degree), ctx.pow_(g.lead, gn.degree))
-    if res.degree != target_deg or res.coeff(target_deg) != lead:
-        raise SequenceMismatch(
-            f"interpolated sequence term has degree {res.degree} and leading "
-            f"coefficient {res.coeff(res.degree)}; expected {target_deg} and {lead}"
-        )
+            acc[: i + 1] = axpy(ctx.mul(m[i][k], t), polys[i], acc[: i + 1])
+        polys.append(acc)
+    return polys[n]
+
+
+def _sequence_step(gn: Poly, g: Poly) -> Poly:
+    """g_{n+1}(x) = Res_t(g_n(t), g(x - t)) = lc(g_n)^d lc(g)^D prod (x - a - b)
+    over the D roots a of g_n and the d roots b of g: the product is the
+    characteristic polynomial over k of the Kronecker sum
+    C_{g_n} x I_d + I_D x C_g of the companion matrices, whose eigenvalues
+    are the a + b.  Two resultants over k check it at x = 0 and x = 1.
+    """
+    ctx = gn.ctx
+    D, d = gn.degree, g.degree
+    # row a d + b of the Kronecker sum; the companion matrix C_f has ones
+    # below the diagonal and -f_i / lc(f) in its last column
+    ca, cb = ([ctx.mul(ctx.neg(ctx.inv(f.lead)), c) for c in f.coeffs] for f in (gn, g))
+    m = [[0] * (D * d) for _ in range(D * d)]
+    for i, row in enumerate(m):
+        a, b = divmod(i, d)
+        if a:
+            row[i - d] = 1
+        if b:
+            row[i - 1] = 1
+        row[(D - 1) * d + b] = ca[a]
+        row[a * d + d - 1] = ctx.add(row[a * d + d - 1], cb[b])
+    lead = ctx.mul(ctx.pow_(gn.lead, d), ctx.pow_(g.lead, D))
+    res = Poly(ctx, tuple(_charpoly(ctx, m))).scale(lead)
+    for x0 in (0, 1):
+        want = resultant(gn, compose(g, Poly(ctx, (x0, ctx.neg(1)))))
+        if evaluate(res, FqElem(ctx, x0)) != want:
+            raise SequenceMismatch(f"g_n+1({x0}) is not Res_t(g_n(t), g({x0} - t)) = {want.val}")
     return res
 
 

@@ -35,6 +35,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import accumulate, islice, repeat
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .errors import (
@@ -212,38 +213,40 @@ class FieldCtx:
     # _add_tab, _mul_tab and _neg_tab serve every field but a prime one
     # above TABLE_CAP, which has none (None) and computes mod p instead.
     # Stored tables cost no kernel product: _mul_tab comes from `_log` and
-    # _add_tab adds base-p digits
+    # _add_tab adds base-p digits, each row by one itemgetter read
     @cached_property
     def _mul_tab(self):
         if self.q > TABLE_CAP:
             return self._computed("mul") if self.s > 1 else None
-        log, m = self._log, self.q - 1
-        exp = sorted(range(1, self.q), key=log.__getitem__)
-        return [[0] * self.q] + [[0] + [exp[(la + lb) % m] for lb in log[1:]] for la in log[1:]]
+        log, q = self._log, self.q
+        exp = sorted(range(1, q), key=log.__getitem__)
+        # a * b = exp[log a + log b]: exp rotated by log a, read at log b,
+        # behind a 0 for b = 0
+        at = itemgetter(0, *[1 + n for n in log[1:]])
+        return [[0] * q] + [list(at([0] + exp[la:] + exp[:la])) for la in log[1:]]
 
     @cached_property
     def _add_tab(self):
         if self.q > TABLE_CAP:
             return self._computed("add") if self.s > 1 else None
-        # the table on t + 1 digits from the table on t (weight w = p^t):
-        # a = lo + w * hi adds to b = x + w * y as lo + x, then hi + y mod p
-        p = self.p
-        digit = [[(a + b) % p for b in range(p)] for a in range(p)]
-        tab, w = digit, p
-        for _ in range(self.s - 1):
-            tab = [[x + w * y for y in digit[hi] for x in lo] for hi in range(p) for lo in tab]
-            w *= p
+        # x + b = (x - e) + (e + b), e = p^i the weight of x's top base-p
+        # digit: row x is row x - e read through row e
+        p, q = self.p, self.q
+        tab = [list(range(q))]
+        for e in (p**i for i in range(self.s)):
+            step = itemgetter(*[b - (p - 1) * e if b // e % p == p - 1 else b + e for b in range(q)])
+            for x in range(e, p * e):
+                tab.append(list(step(tab[x - e])))
         return tab
 
     @cached_property
     def _neg_tab(self):
-        if self.s > 1:
-            neg = partial(self._ext.sub, 0)
-            return _Computed(neg) if self.q > TABLE_CAP else [neg(a) for a in range(self.q)]
-        p = self.p
-        return [-a % p for a in range(p)] if p <= TABLE_CAP else None
+        if self.q > TABLE_CAP:
+            return _Computed(partial(self._ext.sub, 0)) if self.s > 1 else None
+        # -a is where row a of the addition table holds 0
+        return [row.index(0) for row in self._add_tab]
 
-    @property
+    @cached_property
     def _log(self):
         # discrete logs over `generator` by packed value (log[0] = -1): the
         # log array of k's own Zech tables, which F_{p^s} takes from _ext and
@@ -653,12 +656,21 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
 
     F_p at r = 1, whose `log` is k's own (`FieldCtx._log`), walks
     x -> gamma * x mod p, since the slot walk (`_slot_walk`) reads `_kops`,
-    whose tables come from these logs; every other field takes the slot walk.
+    whose tables come from these logs.  A composite k at r = 1 shares log
+    and zech with k's own tables (k as the extension of F_p, over the same
+    generator and packing), and its trace, gamma^n itself, inverts log.
+    Every other field takes the slot walk.
     """
     p, size = ext.p, ext.size
     if size > DLOG_CAP:
         raise FieldTooLarge(f"log tables capped at q^r <= 2^22, got q^r={size}")
     units = size - 1
+    if ext.r == 1 and size > p:
+        own = ext.base._ext._logs
+        trace = array("i", [0]) * units
+        for v, n in enumerate(islice(own.log, 1, None), 1):
+            trace[n] = v
+        return SimpleNamespace(log=own.log, zech=own.zech, trace=trace, half=own.half)
     log = array("i", [-1]) * size
     trace = array("i", [0]) * units
     if size == p:

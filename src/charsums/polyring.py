@@ -425,57 +425,6 @@ def split_power_of_x(g: Poly) -> tuple[int, Poly]:
 
 
 # ---------------------------------------------------------------------------
-# interpolation (used by the resultant sequence over small fields)
-# ---------------------------------------------------------------------------
-
-
-def _batch_inv(ctx, xs: list[int]) -> list[int]:
-    """Inverses of nonzero xs with one field inversion (Montgomery's trick):
-    invert the product of all, then peel one factor off per entry."""
-    prefix = []
-    acc = 1
-    for x in xs:
-        prefix.append(acc)
-        acc = ctx.mul(acc, x)
-    inv = ctx.inv(acc)  # ZeroElement if any x is zero
-    out = [0] * len(xs)
-    for i in range(len(xs) - 1, -1, -1):
-        out[i] = ctx.mul(inv, prefix[i])
-        inv = ctx.mul(inv, xs[i])
-    return out
-
-
-def interpolate(ctx, points: list[int], values: list[int]) -> Poly:
-    """The polynomial of degree < len(points) through distinct packed points.
-
-    Newton form: each level of divided differences inverts its
-    denominators together (one `ctx.inv` per level), and the form
-    dd[0] + (x - p_0)(dd[1] + (x - p_1)(...)) is expanded from the inside
-    out on one coefficient list.  Any order of the points gives the same
-    polynomial.
-    """
-    n = len(points)
-    assert len(values) == n
-    if n == 0:
-        return Poly(ctx, ())
-    # divided differences
-    dd = list(values)
-    for level in range(1, n):
-        invs = _batch_inv(ctx, [ctx.sub(points[i], points[i - level]) for i in range(level, n)])
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = ctx.mul(ctx.sub(dd[i], dd[i - 1]), invs[i - level])
-    # nested Newton form: acc <- acc * (x - p_i) + dd[i], coefficients ascending
-    acc = [dd[-1]]
-    for i in range(n - 2, -1, -1):
-        c = ctx.neg(points[i])
-        nxt = [ctx.add(dd[i], ctx.mul(c, acc[0]))]
-        nxt += [ctx.add(lo, ctx.mul(c, hi)) for lo, hi in zip(acc, acc[1:])]
-        nxt.append(acc[-1])
-        acc = nxt
-    return Poly(ctx, tuple(acc))
-
-
-# ---------------------------------------------------------------------------
 # text format (configs and reports)
 # ---------------------------------------------------------------------------
 

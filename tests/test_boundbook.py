@@ -38,7 +38,7 @@ from charsums.errors import (
     SequenceMismatch,
 )
 from charsums.localdata import compute_local_data
-from charsums import boundbook
+from charsums import boundbook, ffield
 from charsums.polyring import Poly, evaluate, random_poly, roots_in
 
 F3 = make_field(3, 1)
@@ -107,7 +107,7 @@ def test_resultant_sequence_root_sets():
     expect = sorted({(a + b) % 13 for a in (1, 3, 9) for b in (1, 3, 9)})
     assert got == expect == [2, 4, 5, 6, 10, 12]
 
-    # degree-2 splitting case, includes the extension-interpolation path (q=5)
+    # degree-2 splitting case, degree 4 and 8 sequence terms over F_5
     h = Poly.make(F5, (2, 2, 1))  # (x-1)(x-2) = x^2 - 3x + 2
     assert sorted(r.val for r in roots_in(h, F5)) == [1, 2]
     h2 = resultant_sequence(h, 2)
@@ -119,7 +119,7 @@ def test_resultant_sequence_root_sets():
     expect3 = sorted({(a + b + c) % 5 for a in (1, 2) for b in (1, 2) for c in (1, 2)})
     assert sorted(set(r.val for r in roots_in(h3, F5))) == expect3
 
-    # degree 4 with distinct roots; interpolation goes through an extension
+    # degree 4 with distinct roots: g_2 has degree 16 > 13
     roots4 = (1, 2, 5, 11)
     g4 = Poly.make(F13, (1,))
     for rt in roots4:
@@ -205,10 +205,10 @@ def _tuple_sum_product(ctx, roots, n, lead=1):
 @pytest.mark.parametrize(
     "ctx, roots, n",
     [
-        (F5, (0, 1, 3), 3),  # auxiliary extensions F_25, F_125 and their orbits
-        (F7, (1, 2, 4), 3),  # F_49, F_343
-        (F13, (1, 3, 9, 11), 2),  # deg 16 > 13: F_169
-        (F13, (2, 5, 7), 2),  # deg 9 < 13: the base field, one point per resultant
+        (F5, (0, 1, 3), 3),  # a zero root; 27 root sums take 5 values
+        (F7, (1, 2, 4), 3),  # deg 27 > 7: repeated eigenvalues of the Kronecker sum
+        (F13, (1, 3, 9, 11), 2),  # a quartic: a 16 x 16 Kronecker sum
+        (F13, (2, 5, 7), 2),  # deg 9 < 13
     ],
 )
 def test_resultant_sequence_exact_product_over_tuples(ctx, roots, n):
@@ -239,75 +239,41 @@ def test_resultant_sequence_leading_coefficient_non_monic():
         assert resultant_sequence(g, n) == _tuple_sum_product(F7, roots, n, lead=lead)
 
 
-def test_sequence_step_one_resultant_per_frobenius_orbit(monkeypatch):
-    real_resultant, real_interpolate = boundbook.resultant, boundbook.interpolate
-    calls, used = [], []
-
-    def counting_resultant(f, h):
-        calls.append(f.ctx)
-        return real_resultant(f, h)
-
-    def recording_interpolate(fld, pts, vals):
-        used.append((fld, list(pts)))
-        return real_interpolate(fld, pts, vals)
-
-    monkeypatch.setattr(boundbook, "resultant", counting_resultant)
-    monkeypatch.setattr(boundbook, "interpolate", recording_interpolate)
-    g = Poly.make(F7, (3, 0, 5, 1))
-    g3 = resultant_sequence(g, 3)
-    assert g3.degree == 27 and len(used) == 2
-    orbits = 0
-    for fld, pts in used:
-        assert fld.r >= 2 and len(pts) == len(set(pts))
-        reps = set()
-        for x in pts:
-            orbit = {x}
-            while (x := fld.frobenius(x)) not in orbit:
-                orbit.add(x)
-            reps.add(min(orbit))
-        orbits += len(reps)
-        assert len(reps) < len(pts)
-    assert len(calls) == orbits
-
-
-def test_sequence_step_walks_orbits_outside_k_first(monkeypatch):
-    # a quintic over F_7: the step from g_2 (degree 25) to g_3 (degree 125)
-    # interpolates on F_343, where the 126 points outside F_7 form 42 orbits
-    # of size 3; walking the 7 size-1 orbits of F_7 first would cost 47
-    g = Poly.make(F7, (2, 1, 3, 0, 0, 1))
-    g2 = resultant_sequence(g, 2)
-    real_resultant = boundbook.resultant
-    calls = []
-
-    def counting_resultant(f, h):
-        calls.append(f.ctx)
-        return real_resultant(f, h)
-
-    monkeypatch.setattr(boundbook, "resultant", counting_resultant)
-    g3 = boundbook._sequence_step(g2, g)
-    assert g3.degree == 125 and g3.ctx is F7
-    assert len(calls) == 42 and all(fld.size == 343 for fld in calls)
-
-
 def test_sequence_step_rejects_wrong_degree_or_leading_coefficient(monkeypatch):
-    real_interpolate = boundbook.interpolate
+    # corruptions of the characteristic polynomial, caught by the resultants
+    # at x = 0 and x = 1
+    real_charpoly = boundbook._charpoly
     g = Poly.make(F7, (3, 0, 5, 1))
     good = resultant_sequence(g, 2)
 
-    def drop_top(fld, pts, vals):
-        f = real_interpolate(fld, pts, vals)
-        return Poly(fld, f.coeffs[:-1])
+    def corrupt(change):
+        def bad(ctx, m):
+            return change(ctx, real_charpoly(ctx, m))
 
-    def double_top(fld, pts, vals):
-        f = real_interpolate(fld, pts, vals)
-        return Poly(fld, f.coeffs[:-1] + (fld.add(f.lead, f.lead),))
+        return bad
 
-    for bad in (drop_top, double_top):
-        monkeypatch.setattr(boundbook, "interpolate", bad)
+    changes = [
+        lambda ctx, c: c[:-1],  # degree one lower
+        lambda ctx, c: c[:-1] + [ctx.add(c[-1], c[-1])],  # leading coefficient doubled
+        lambda ctx, c: [ctx.add(c[0], 1)] + c[1:],  # constant term
+        lambda ctx, c: c[:4] + [ctx.add(c[4], 3)] + c[5:],  # a middle coefficient
+        lambda ctx, c: c[::-1],  # reversed
+    ]
+    for change in changes:
+        monkeypatch.setattr(boundbook, "_charpoly", corrupt(change))
         with pytest.raises(SequenceMismatch):
             resultant_sequence(g, 2)
-    monkeypatch.setattr(boundbook, "interpolate", real_interpolate)
+    monkeypatch.setattr(boundbook, "_charpoly", real_charpoly)
     assert resultant_sequence(g, 2) == good
+
+
+def test_resultant_sequence_builds_no_field_context(monkeypatch):
+    # the step stays in k: an irreducible quintic over F_7 up to degree 125
+    # makes no extension of F_7
+    monkeypatch.setattr(ffield, "_CONTEXTS", {})
+    g = Poly.make(F7, (3, 1, 0, 0, 0, 1))
+    assert resultant_sequence(g, 3).degree == 125
+    assert ffield._CONTEXTS == {}
 
 
 def test_main_term_magnitudes():

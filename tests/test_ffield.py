@@ -3,6 +3,7 @@
 import pickle
 import random
 import re
+from array import array
 from collections import Counter
 
 import pytest
@@ -19,7 +20,7 @@ from charsums import (
     trace,
 )
 from charsums.errors import CtxMismatch, NotPrime, Overflow, ZeroElement
-from charsums.ffield import TABLE_CAP, _kops_flavor, power, rank_over
+from charsums.ffield import TABLE_CAP, _kops_flavor, _slot_walk, power, rank_over
 
 
 def test_prime_field_has_no_modulus():
@@ -460,7 +461,8 @@ def test_k_logs_are_the_log_array_of_its_own_zech_tables(ps):
     # reads only F_p's tables) meets every unit at its log
     k = make_field(*ps)
     owner = k._ext if k.s > 1 else make_ext(k, 1)
-    assert k._log is owner._logs.log
+    assert k._log is owner._logs.log is make_ext(k, 1)._logs.log
+    assert vars(k)["_log"] is k._log  # kept on k: a read looks up no context
     mul = k.mul if k.s == 1 else k._ext.mul
     log, x = k._log, 1
     assert log[0] == -1
@@ -468,6 +470,18 @@ def test_k_logs_are_the_log_array_of_its_own_zech_tables(ps):
         assert log[x] == i
         x = mul(x, k.generator)
     assert x == 1
+
+
+@pytest.mark.parametrize("ps", [(3, 2), (2, 6), (11, 2), (2, 11)])
+def test_r1_tables_of_a_composite_k_are_k_own_and_equal_the_slot_walk(ps):
+    # k at r = 1 shares log and zech with k's own tables and inverts log
+    # for its trace; the slot walk over k at r = 1 is the oracle
+    k = make_field(*ps)
+    tabs, own = make_ext(k, 1)._logs, k._ext._logs
+    assert tabs.log is own.log and tabs.zech is own.zech and tabs.half == own.half
+    log, trace = array("i", [-1]) * k.q, array("i", [0]) * (k.q - 1)
+    assert _slot_walk(make_ext(k, 1), log, trace) == 1
+    assert log == tabs.log and trace == tabs.trace
 
 
 # (p, s, r): r = 1 and r > 1, p = 2, composite bases, and r = 1 on the

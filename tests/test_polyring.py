@@ -25,7 +25,6 @@ from charsums.polyring import (
     divrem,
     evaluate,
     gcd,
-    interpolate,
     is_irreducible,
     is_squarefree,
     lift,
@@ -282,55 +281,6 @@ def test_compose_and_evaluate_agree():
         for v in range(7):
             x = FqElem(F7, v)
             assert evaluate(h, x).val == evaluate(f, evaluate(g, x)).val
-
-
-def test_interpolate_roundtrip():
-    rng = random.Random(12)
-    for _ in range(50):
-        f = random_poly(F13, rng.randrange(0, 6), rng)
-        pts = list(range(f.degree + 1 if not f.is_zero else 1))
-        vals = [evaluate(f, FqElem(F13, t)).val for t in pts]
-        assert interpolate(F13, pts, vals) == f
-
-
-def test_interpolate_frobenius_orbits_on_extension():
-    # points in Frobenius-orbit order, as the resultant sequence picks
-    # them, and more points than deg + 1: the same polynomial comes back
-    ext = make_ext(F7, 3, seed=1)
-    pts, seen = [], set()
-    for x0 in range(ext.size):
-        x = x0
-        while x not in seen:
-            seen.add(x)
-            pts.append(x)
-            x = ext.frobenius(x)
-        if len(pts) >= 40:
-            break
-    rng = random.Random(13)
-    for d in (0, 3, 11, 25):
-        f = random_poly(ext, d, rng)
-        vals = [evaluate(f, FqElem(ext, t)).val for t in pts]
-        assert len(pts) > d + 1
-        assert interpolate(ext, pts, vals) == f
-        assert interpolate(ext, pts[: d + 1], vals[: d + 1]) == f
-    assert interpolate(ext, pts, [0] * len(pts)).is_zero
-
-
-def test_interpolate_inverts_once_per_divided_difference_level(monkeypatch):
-    ext = make_ext(F5, 3, seed=1)
-    real_inv = type(ext).inv
-    calls = []
-
-    def counting_inv(self, a):
-        calls.append(a)
-        return real_inv(self, a)
-
-    monkeypatch.setattr(type(ext), "inv", counting_inv)
-    f = random_poly(ext, 20, random.Random(14))
-    pts = list(range(3, 24))
-    vals = [evaluate(f, FqElem(ext, t)).val for t in pts]
-    assert interpolate(ext, pts, vals) == f
-    assert len(calls) == len(pts) - 1
 
 
 def test_text_format_roundtrip():

@@ -22,7 +22,6 @@ from charsums.polyring import (
     compose,
     derivative,
     divrem,
-    interpolate,
     poly_from_text,
     poly_to_text,
     shift,
@@ -135,10 +134,6 @@ def test_poly_operations_never_end_in_zero(ctx, data):
     results = [f + g, f - g, f * g, compose(f, g), shift(f, c), derivative(f), f.scale(0)]
     if not g.is_zero:
         results += divrem(f, g)
-    points = data.draw(st.lists(st.integers(0, ctx.size - 1), unique=True, max_size=5))
-    values = data.draw(st.lists(st.integers(0, ctx.size - 1), min_size=len(points),
-                                max_size=len(points)))
-    results.append(interpolate(ctx, points, values))
     # f(x^n) for n = (q - 1)/e has every exponent divisible by n
     q = ctx.size if isinstance(ctx, FieldCtx) else ctx.base.size
     e = data.draw(st.sampled_from([e for e in range(1, q) if (q - 1) % e == 0]))
