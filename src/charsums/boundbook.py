@@ -8,7 +8,8 @@ against come from the oracles in `charsum`.
 
 The TransMult gate reads g_r(0) off the resultant sequence g_n (roots: the
 n-fold sums of the roots of g), whose steps are characteristic polynomials
-over k: no extension of k is built.
+of Kronecker sums, taken as resultants over k[x] of degree d in u: no
+extension of k is built.
 
 Kinds: WeilAdd, WeilMult, TransAdd, TransAddExc, TransAddSp,
 TransAddSpExc, TransMult, TransMultExc, HomAdd, HomMult.
@@ -17,7 +18,6 @@ TransAddSpExc, TransMult, TransMultExc, HomAdd, HomMult.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,13 +29,16 @@ from .errors import (
     RootsNotInBaseField,
     SequenceMismatch,
 )
-from .ffield import ExtCtx, FieldCtx, FqElem
+# make_ext and interpolate are unused here but stay bound in this module:
+# perfbench/tracer.py still rebinds both here, and its self-test reads them
+from .ffield import ExtCtx, FieldCtx, FqElem, make_ext, power
 from .localdata import LocalData, compute_local_data
 from .polyring import (
     Parity,
     Poly,
     compose,
     discriminant,
+    divrem,
     evaluate,
     is_squarefree,
     parity_check,
@@ -112,93 +115,84 @@ def bound_constant_multiplicative(d: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _charpoly(ctx, m: list[list[int]]) -> list[int]:
-    """det(x I - M), coefficients ascending, for a square matrix M over k =
-    ctx (rows of packed values, overwritten), mod p or on k's tables.
+def _prem(a: list[Poly], b: list[Poly]) -> list[Poly]:
+    """lc(b)^(deg a - deg b + 1) a mod b, for a and b in k[x][u] given by
+    their coefficient lists over k[x] (ascending, top nonzero)."""
+    r, lb, db = list(a), b[-1], len(b) - 1
+    for _ in range(len(a) - db):
+        c = r.pop()
+        off = len(r) - db
+        r = [lb * v for v in r[:off]] + [lb * v - c * w for v, w in zip(r[off:], b)]
+    while r and r[-1].is_zero:
+        r.pop()
+    return r
 
-    A similarity brings M to upper Hessenberg form H: per column, a nonzero
-    pivot is swapped (rows and columns) onto the subdiagonal, and its row
-    clears the entries below it, with the inverse column operation.  Then
-    p_0 = 1, p_{k+1} = (x - h_kk) p_k - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_i
-    give det(x I - H) = p_n.
-    """
-    p, n = ctx.p, len(m)
-    if ctx.size == p:
-        def axpy(u, xs, ys):  # ys - u * xs
-            return [(y - u * x) % p for x, y in zip(xs, ys)]
 
-        def dot(c, us, xs):  # c + us . xs
-            return (c + sum(map(operator.mul, us, xs))) % p
-    else:
-        at, mt = ctx._add_tab, ctx._mul_tab
+def _resultant_kx(a: list[Poly], b: list[Poly]) -> Poly:
+    """Res_u(a, b) over k[x] for deg a >= deg b >= 0, by Collins's
+    subresultant PRS (Cohen, GTM 138, Algorithm 3.3.7), whose every
+    division is exact."""
+    one = Poly(a[-1].ctx, (1,))
 
-        def axpy(u, xs, ys):
-            row = mt[ctx.neg(u)]
-            return [at[y][row[x]] for x, y in zip(xs, ys)]
+    def pw(x, e):
+        return power(Poly.__mul__, one, x, e)
 
-        def dot(c, us, xs):
-            for u, x in zip(us, xs):
-                c = at[c][mt[u][x]]
-            return c
-
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if m[i][j]), j + 1)
-        m[piv], m[j + 1] = m[j + 1], m[piv]
-        for row in m:
-            row[piv], row[j + 1] = row[j + 1], row[piv]
-        top = m[j + 1][j:]
-        if not top[0]:
-            continue
-        inv = ctx.inv(top[0])
-        us = [ctx.mul(m[i][j], inv) for i in range(j + 2, n)]
-        if any(us):
-            for i, u in enumerate(us, j + 2):
-                if u:
-                    m[i][j:] = axpy(u, top, m[i][j:])
-            for row in m:
-                row[j + 1] = dot(row[j + 1], us, row[j + 2 :])
-    polys = [[1]]
-    for k in range(n):
-        acc = [0] + polys[k]
-        acc[: k + 1] = axpy(m[k][k], polys[k], acc[: k + 1])
-        t = 1
-        for i in range(k - 1, -1, -1):
-            t = ctx.mul(t, m[i + 1][i])
-            if not t:
-                break
-            acc[: i + 1] = axpy(ctx.mul(m[i][k], t), polys[i], acc[: i + 1])
-        polys.append(acc)
-    return polys[n]
+    g = h = one
+    neg = False
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        neg ^= bool(da & db & 1)
+        r = _prem(a, b)
+        if not r:
+            return Poly(one.ctx, ())
+        den = g * pw(h, da - db)
+        a, b = b, [divrem(c, den)[0] for c in r]
+        g = a[-1]
+        if da > db:
+            h = divrem(pw(g, da - db), pw(h, da - db - 1))[0]
+    da = len(a) - 1
+    h = divrem(pw(b[0], da), pw(h, da - 1))[0] if da else one
+    return -h if neg else h
 
 
 def _sequence_step(gn: Poly, g: Poly) -> Poly:
     """g_{n+1}(x) = Res_t(g_n(t), g(x - t)) = lc(g_n)^d lc(g)^D prod (x - a - b)
-    over the D roots a of g_n and the d roots b of g: the product is the
-    characteristic polynomial over k of the Kronecker sum
-    C_{g_n} x I_d + I_D x C_g of the companion matrices, whose eigenvalues
-    are the a + b.  Two resultants over k check it at x = 0 and x = 1.
+    over the D roots a of g_n and the d roots b of g.
+
+    The product is det(x I - C_{g_n} (x) I_d - I_D (x) C_g), C_f the
+    companion matrix of f / lc(f).  The blocks of that Kronecker sum all
+    commute with C_g, so it is the d x d determinant det f(x I_d - C_g)
+    over k[x], f = g_n / lc(g_n): the norm of f(x - u) from
+    A = k[x][u]/(g(u)) to k[x], which is Res_u(g(u) / lc(g), f(x - u)
+    mod g(u)).  Two resultants over k check it at x = 0 and x = 1.
     """
     ctx = gn.ctx
     D, d = gn.degree, g.degree
-    # row a d + b of the Kronecker sum; the companion matrix C_f has ones
-    # below the diagonal and -f_i / lc(f) in its last column
-    ca, cb = ([ctx.mul(ctx.neg(ctx.inv(f.lead)), c) for c in f.coeffs] for f in (gn, g))
-    m = [[0] * (D * d) for _ in range(D * d)]
-    for i, row in enumerate(m):
-        a, b = divmod(i, d)
-        if a:
-            row[i - d] = 1
-        if b:
-            row[i - 1] = 1
-        row[(D - 1) * d + b] = ca[a]
-        row[a * d + d - 1] = ctx.add(row[a * d + d - 1], cb[b])
+    mono = [ctx.mul(ctx.inv(g.lead), c) for c in g.coeffs]
+    inv = ctx.inv(gn.lead)
+
+    def times_u(v):  # u v in A, v by its coordinates over k[x]
+        return [a - v[-1].scale(c) for a, c in zip([Poly(ctx, ())] + v[:-1], mono)]
+
+    v = [Poly(ctx, (1,))] + [Poly(ctx, ())] * (d - 1)
+    for c in reversed(gn.coeffs[:-1]):  # Horner: v = v (x - u) + c / lc(g_n)
+        v = [Poly(ctx, (0,) + a.coeffs) - b for a, b in zip(v, times_u(v))]
+        v[0] += Poly(ctx, (ctx.mul(inv, c),))
+    while v[-1].is_zero:  # v[0] has degree D in x, so v is not zero
+        v.pop()
     lead = ctx.mul(ctx.pow_(gn.lead, d), ctx.pow_(g.lead, D))
-    res = Poly(ctx, tuple(_charpoly(ctx, m))).scale(lead)
+    res = _resultant_kx([Poly(ctx, (c,)) for c in mono], v).scale(lead)
     for x0 in (0, 1):
         want = resultant(gn, compose(g, Poly(ctx, (x0, ctx.neg(1)))))
         if evaluate(res, FqElem(ctx, x0)) != want:
             raise SequenceMismatch(f"g_n+1({x0}) is not Res_t(g_n(t), g({x0} - t)) = {want.val}")
     return res
+
+
+def interpolate(*args, **kwargs):
+    """Only a name (see the make_ext import): the sequence has no
+    interpolation step."""
+    raise NotImplementedError("the resultant sequence does not interpolate")
 
 
 def resultant_sequence(g: Poly, n: int) -> Poly:

@@ -274,6 +274,14 @@ class FieldCtx:
             return a * b % self.p
         return self._mul_tab[a][b]
 
+    def axpy(self, u: int, xs, ys) -> list[int]:
+        """[y + u x for x, y in zip(xs, ys)]: one row operation over k."""
+        if self.s == 1:
+            p = self.p
+            return [(y + u * x) % p for x, y in zip(xs, ys)]
+        at, row = self._add_tab, self._mul_tab[u]
+        return [at[y][row[x]] for x, y in zip(xs, ys)]
+
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e
@@ -428,6 +436,9 @@ class ExtCtx:
     def mul(self, a: int, b: int) -> int:
         k = self._kops
         return self.pack(k.emul(self.unpack(a), self.unpack(b)))
+
+    def axpy(self, u: int, xs, ys) -> list[int]:
+        return [self.add(y, self.mul(u, x)) if x else y for x, y in zip(xs, ys)]
 
     def pow_(self, a: int, e: int) -> int:
         if e < 0:

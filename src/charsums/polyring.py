@@ -3,8 +3,9 @@
 Coefficients are stored ascending as packed field ints.  `Poly` trims
 trailing zeros on construction, so degree == len(coeffs) - 1 however a
 polynomial was built, and the zero polynomial has an empty coefficient
-tuple (degree -1).  Degrees stay small (a few hundred at most) in every
-workload, so all algorithms are the quadratic schoolbook ones.
+tuple (degree -1).  Degrees stay in the thousands at most (the resultant
+sequence), so all algorithms are the quadratic schoolbook ones; products
+and divisions run on the coefficient field's row operation `axpy`.
 """
 
 from __future__ import annotations
@@ -99,13 +100,11 @@ class Poly:
         self._check(other)
         if self.is_zero or other.is_zero:
             return Poly(self.ctx, ())
-        ops = self.ctx
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        ops, b = self.ctx, other.coeffs
+        out = [0] * (len(self.coeffs) + len(b) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = ops.add(out[i + j], ops.mul(a, b))
+                out[i : i + len(b)] = ops.axpy(a, b, out[i : i + len(b)])
         return Poly(self.ctx, tuple(out))
 
     def scale(self, c) -> "Poly":
@@ -171,9 +170,7 @@ def divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
             if inv_lead is not None:
                 c = ops.mul(c, inv_lead)
             quot[i] = c
-            for j, gz in enumerate(g.coeffs):
-                if gz:
-                    rem[i + j] = ops.sub(rem[i + j], ops.mul(c, gz))
+            rem[i : i + dg + 1] = ops.axpy(ops.neg(c), g.coeffs, rem[i : i + dg + 1])
     return Poly(f.ctx, tuple(quot)), Poly(f.ctx, tuple(rem))
 
 

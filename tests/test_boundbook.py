@@ -240,15 +240,16 @@ def test_resultant_sequence_leading_coefficient_non_monic():
 
 
 def test_sequence_step_rejects_wrong_degree_or_leading_coefficient(monkeypatch):
-    # corruptions of the characteristic polynomial, caught by the resultants
+    # corruptions of the resultant over k[x], caught by the resultants over k
     # at x = 0 and x = 1
-    real_charpoly = boundbook._charpoly
+    real_res = boundbook._resultant_kx
     g = Poly.make(F7, (3, 0, 5, 1))
     good = resultant_sequence(g, 2)
 
     def corrupt(change):
-        def bad(ctx, m):
-            return change(ctx, real_charpoly(ctx, m))
+        def bad(a, b):
+            c = list(real_res(a, b).coeffs)
+            return Poly(F7, tuple(change(F7, c)))
 
         return bad
 
@@ -260,11 +261,52 @@ def test_sequence_step_rejects_wrong_degree_or_leading_coefficient(monkeypatch):
         lambda ctx, c: c[::-1],  # reversed
     ]
     for change in changes:
-        monkeypatch.setattr(boundbook, "_charpoly", corrupt(change))
+        monkeypatch.setattr(boundbook, "_resultant_kx", corrupt(change))
         with pytest.raises(SequenceMismatch):
             resultant_sequence(g, 2)
-    monkeypatch.setattr(boundbook, "_charpoly", real_charpoly)
+    monkeypatch.setattr(boundbook, "_resultant_kx", real_res)
     assert resultant_sequence(g, 2) == good
+
+
+def _laplace(m):
+    """Determinant over k[x] by expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    out = Poly(m[0][0].ctx, ())
+    for j, a in enumerate(m[0]):
+        minor = _laplace([row[:j] + row[j + 1 :] for row in m[1:]])
+        out = out - a * minor if j % 2 else out + a * minor
+    return out
+
+
+@pytest.mark.parametrize("ctx", [F5, F4], ids=["F5", "F4"])
+def test_resultant_over_kx_is_the_sylvester_determinant(ctx):
+    # the subresultant PRS against det of the Sylvester matrix, with zero
+    # coefficients (degree drops of more than one) and common factors
+    rng = random.Random(ctx.size)
+    zero = Poly(ctx, ())
+
+    def entry(top=False):
+        while True:
+            e = Poly(ctx, tuple(rng.randrange(ctx.size) for _ in range(rng.randrange(4))))
+            if not (top and e.is_zero):
+                return e
+
+    def sylvester(a, b):
+        m, n = len(a) - 1, len(b) - 1
+        rows = [[zero] * i + a[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+        return rows + [[zero] * i + b[::-1] + [zero] * (m - 1 - i) for i in range(m)]
+
+    for da in (1, 2, 3):
+        for db in range(da + 1):
+            for _ in range(4):
+                a = [entry() for _ in range(da)] + [entry(top=True)]
+                b = [entry() for _ in range(db)] + [entry(top=True)]
+                assert boundbook._resultant_kx(a, b) == _laplace(sylvester(a, b)), (a, b)
+    # a = lin * quo shares the factor lin with b = lin: the resultant is 0
+    lin, quo = [entry(), entry(top=True)], [entry(), entry(top=True)]
+    a = [lin[0] * quo[0], lin[1] * quo[0] + lin[0] * quo[1], lin[1] * quo[1]]
+    assert boundbook._resultant_kx(a, lin).is_zero
 
 
 def test_resultant_sequence_builds_no_field_context(monkeypatch):
