@@ -39,6 +39,7 @@ import math
 import operator
 import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, islice, product, repeat
@@ -607,19 +608,20 @@ def double_sum_check(
 
 
 def counting_identity_holds(ext: ExtCtx, *, cap: int = 10**4) -> bool:
-    """#{x : x^q - x = t} equals q exactly when Tr(t) = 0, else 0 (exhaustive)."""
+    """#{x : x^q - x = t} equals q exactly when Tr(t) = 0, else 0 (exhaustive).
+
+    Both walks visit every digit tuple of k_r through the kernel's own
+    efrob, esub and etr; the image counts hold one entry per t hit.
+    """
     n = ext.size
     if n > cap:
         raise FieldTooLarge(f"exhaustive count capped at {cap}, got {n}")
-    counts = [0] * n
-    for x in range(n):
-        counts[ext.sub(ext.frobenius(x), x)] += 1
-    q = ext.base.q
-    for t in range(n):
-        expected = q if ext.trace_to_base(t) == 0 else 0
-        if counts[t] != expected:
-            return False
-    return True
+    ko, q, r = ext._kops, ext.base.q, ext.r
+    efrob, esub, etr = ko.efrob, ko.esub, ko.etr
+    counts = Counter(esub(efrob(x), x) for x in product(range(q), repeat=r))
+    # popping every t leaves no count behind unless an image lay outside k_r
+    ok = all(counts.pop(t, 0) == (q if etr(t) == 0 else 0) for t in product(range(q), repeat=r))
+    return ok and not counts
 
 
 def orthogonality_error(psi: AdditiveChar) -> float:

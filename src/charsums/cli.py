@@ -604,9 +604,9 @@ def check_identity(kind: str, p: int, s: int, r: int, seed: int, trials: int) ->
         ok = True
         for e in divisors:
             n = (base.q - 1) // e
+            mus = [mu for mu in range(1, base.q) if base.pow_(mu, e) == 1]
             for t in range(trials):
                 g = gen_poly(ext, 2, {}, random.Random(_row_seed(seed, e, t)))
-                mus = [mu for mu in range(1, base.q) if base.pow_(mu, e) == 1]
                 lhs = total(g, char, ext, inner=("pow", n))
                 rhs = char.value(at_zero(g.coeff(0)))
                 rhs += sum(n * fiber(g, char, ext, mu) for mu in mus)

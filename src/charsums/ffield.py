@@ -30,6 +30,7 @@ Both contexts answer `size` (number of elements) and `p`
 
 from __future__ import annotations
 
+import operator
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -507,7 +508,11 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
 
     Two bodies: plain ints mod p for a prime base field above TABLE_CAP,
     and otherwise lookups in the base field's `_add_tab`, `_mul_tab` and
-    `_neg_tab`, stored or computed (see `_kops_flavor`).
+    `_neg_tab`, stored or computed (see `_kops_flavor`).  Each body has
+    its own emul, eadd, esub, efrob and etr; efrob and etr take dot
+    products with the rows of the Frobenius matrix `fb` and with the
+    trace functional `trv`, which are built after the bodies from emul
+    and efrob.
     """
     base = ext.base
     r = ext.r
@@ -554,6 +559,14 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         def esub(a, b):
             return tuple([(x - y) % p for x, y in zip(a, b)])
 
+        # each digit of x^q and the trace: a dot product in integers,
+        # reduced once
+        def efrob(x):
+            return tuple([sum(map(operator.mul, x, row)) % p for row in fb])
+
+        def etr(x):
+            return sum(map(operator.mul, x, trv)) % p
+
         def kmul(a, b):
             return a * b % p
 
@@ -589,6 +602,26 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         def esub(a, b):
             return tuple([at[x][nt[y]] for x, y in zip(a, b)])
 
+        def efrob(x):
+            # the _mul_tab row of each nonzero digit, read for every row of fb
+            digits = [(mt[xj], j) for j, xj in enumerate(x) if xj]
+            out = []
+            for row in fb:
+                t = 0
+                for mt_xj, j in digits:
+                    c = row[j]
+                    if c:
+                        t = at[t][mt_xj[c]]
+                out.append(t)
+            return tuple(out)
+
+        def etr(x):
+            t = 0
+            for xj, tj in zip(x, trv):
+                if xj and tj:
+                    t = at[t][mt[xj][tj]]
+            return t
+
         def kmul(a, b):
             return mt[a][b]
 
@@ -598,21 +631,10 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
     one = (1,) + (0,) * (r - 1)
     epow = partial(power, emul, one)
 
-    # Frobenius matrix: FB[j] = (Y^q)^j mod m_r, as digit tuples.
-    # x = sum x_j Y^j with x_j in k gives x^q = sum x_j (Y^q)^j.
+    # Frobenius matrix: FB[i][j] = digit i of (Y^q)^j mod m_r.  x = sum x_j Y^j
+    # with x_j in k gives x^q = sum x_j (Y^q)^j, whose digit i is x . FB[i].
     yq = epow((0, 1) + (0,) * (r - 2), q) if r > 1 else one
-    fb = tuple(accumulate(repeat(yq, r - 1), emul, initial=one))
-
-    def _scale_add(acc, c, row):
-        # acc += c * row, digitwise in k
-        return [kadd(av, kmul(c, rv)) if rv else av for av, rv in zip(acc, row)]
-
-    def efrob(x):
-        acc = [0] * r
-        for j, xj in enumerate(x):
-            if xj:
-                acc = _scale_add(acc, xj, fb[j])
-        return tuple(acc)
+    fb = tuple(zip(*accumulate(repeat(yq, r - 1), emul, initial=one)))
 
     # trace functional: TRV[j] = Tr_{k_r/k}(Y^j)
     trv = []
@@ -626,13 +648,6 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         assert all(c == 0 for c in acc[1:]), "trace must land in k"
         trv.append(acc[0])
     trv = tuple(trv)
-
-    def etr(x):
-        t = 0
-        for xj, tj in zip(x, trv):
-            if xj and tj:
-                t = kadd(t, kmul(xj, tj))
-        return t
 
     def enorm(x):
         # product of conjugates; Frobenius-fixed, so only digit 0 survives

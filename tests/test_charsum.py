@@ -285,6 +285,26 @@ def test_counting_identity_and_orthogonality():
         assert orthogonality_error(AdditiveChar.canonical(ctx)) < 1e-9 * p
 
 
+@pytest.mark.parametrize("p, s", [(13, 1), (3, 2)])
+def test_counting_identity_fails_on_a_broken_frobenius_or_trace(p, s, monkeypatch):
+    # over F_13^3 and F_9^3: a Frobenius that swaps the images of 0 and Y,
+    # or a trace that calls one trace-zero t nonzero, must fail the count
+    ext = make_ext(make_field(p, s, seed=0), 3, seed=0)
+    ko = ext._kops
+    efrob, etr = ko.efrob, ko.etr
+    zero, y = (0, 0, 0), (0, 1, 0)
+    t0 = ko.esub(efrob(y), y)
+    assert t0 != zero and etr(t0) == 0
+    swap = {zero: y, y: zero}
+    with monkeypatch.context() as m:
+        m.setattr(ko, "efrob", lambda x: efrob(swap.get(x, x)))
+        assert not counting_identity_holds(ext)
+    with monkeypatch.context() as m:
+        m.setattr(ko, "etr", lambda t: 1 if t == t0 else etr(t))
+        assert not counting_identity_holds(ext)
+    assert counting_identity_holds(ext)
+
+
 @pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (7, 1), (3, 2), (2, 6), (5, 3), (11, 2)])
 def test_orthogonality_error_takes_the_maximum_over_every_row(p, s):
     ctx = make_field(p, s, seed=0)

@@ -1,10 +1,12 @@
 """Field construction, trace/norm laws, enumeration and dlog."""
 
+import operator
 import pickle
 import random
 import re
 from array import array
 from collections import Counter
+from functools import reduce
 
 import pytest
 
@@ -518,31 +520,49 @@ def test_log_tables_are_capped():
         ext._logs
 
 
-def test_kernel_over_computed_tables_matches_polyring():
-    # r = 2 over F_{37^2}: products mod m_r, x^q by _powmod, and trace and
-    # norm as the sum and product of the conjugates x, x^q
+def _kernel_matches_polyring(k, r, samples):
+    # products mod m_r, x^q by _powmod, and trace and norm as the sum and
+    # product of the conjugates x, x^q, ..., x^(q^(r-1)), all in polyring
     from charsums.polyring import Poly, _powmod, divrem
 
-    k = make_field(*F37_2)
-    assert _kops_flavor(k) == "generic"
-    ext = make_ext(k, 2)
+    ext = make_ext(k, r)
     ko = ext._kops
     m = Poly(k, ext.modulus_r)
 
     def digits(f):
-        return tuple(f.coeff(i) for i in range(ext.r))
+        return tuple(f.coeff(i) for i in range(r))
 
     rng = random.Random(3)
-    for _ in range(50):
-        a = tuple(rng.randrange(k.q) for _ in range(ext.r))
-        b = tuple(rng.randrange(k.q) for _ in range(ext.r))
+    for _ in range(samples):
+        a = tuple(rng.randrange(k.q) for _ in range(r))
+        b = tuple(rng.randrange(k.q) for _ in range(r))
         pa, pb = Poly(k, a), Poly(k, b)
         assert ko.emul(a, b) == digits(divrem(pa * pb, m)[1])
         assert ko.esub(a, b) == digits(pa - pb)
-        conj = _powmod(pa, k.q, m)
-        assert ko.efrob(a) == digits(conj)
-        assert digits(pa + conj) == (ko.etr(a), 0)
-        assert digits(divrem(pa * conj, m)[1]) == (ko.enorm(a), 0)
+        conj = [pa]
+        for _ in range(r - 1):
+            conj.append(_powmod(conj[-1], k.q, m))
+        assert ko.efrob(a) == digits(conj[1])
+        in_k = (0,) * (r - 1)
+        assert digits(reduce(operator.add, conj)) == (ko.etr(a),) + in_k
+        assert digits(reduce(lambda f, g: divrem(f * g, m)[1], conj)) == (ko.enorm(a),) + in_k
+
+
+def test_kernel_over_computed_tables_matches_polyring():
+    k = make_field(*F37_2)
+    assert _kops_flavor(k) == "generic"
+    _kernel_matches_polyring(k, 2, 50)
+
+
+@pytest.mark.parametrize(
+    "p, s, r, flavor", [(13, 1, 3, "table"), (3, 2, 3, "table"), (1031, 1, 2, "modp")]
+)
+def test_both_kernel_bodies_match_polyring(p, s, r, flavor):
+    # the table body (F_13^3, F_9^3) and the mod-p body (F_1031^2), each
+    # with its own efrob and etr
+    k = make_field(p, s)
+    assert _kops_flavor(k) == flavor
+    _kernel_matches_polyring(k, r, 200)
 
 
 def _foreign_and_out_of_range_rows():
