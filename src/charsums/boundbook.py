@@ -24,19 +24,22 @@ from fractions import Fraction
 from .charsum import AdditiveChar, MultChar, gauss_sum
 from .errors import (
     DegenerateReduction,
+    HypothesisFailed,
     MthPower,
     NotExceptionalCell,
     RootsNotInBaseField,
     SequenceMismatch,
 )
-# make_ext and interpolate are unused here but stay bound in this module:
-# perfbench/tracer.py still rebinds both here, and its self-test reads them
+# make_ext, interpolate and compute_local_data are unused here but stay
+# bound in this module: perfbench/tracer.py still rebinds all three here,
+# and its self-test reads them
 from .ffield import ExtCtx, FieldCtx, FqElem, make_ext, power
-from .localdata import LocalData, compute_local_data
+from .localdata import compute_local_data
 from .polyring import (
     Parity,
     Poly,
     compose,
+    derivative,
     discriminant,
     divrem,
     evaluate,
@@ -228,47 +231,52 @@ def resultant_sequence_value_at_zero(g: Poly, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def main_term_additive_sl(
-    g: Poly, local: LocalData, psi: AdditiveChar, rho: MultChar
-) -> complex:
-    """(-1)^(d-1) q rho^d(-1) (psi(b_0) rho(d(d-1)a_d/2) g(rho,psi))^(d-1)."""
+def local_b0(g: Poly) -> int:
+    """b_0, the t^0 coefficient of g(v(t)) + v(t) t^(d-1), v the inverse of
+    u with u^(d-1) = -g'.  Put t = u(x) in the residue that gives it and use
+    (d-1) u'/u = g''/g': b_0 is the constant term of the polynomial quotient
+    of (g - x g') x g'' by g', over d - 1.  No branch of u enters."""
+    ctx, d = g.ctx, g.degree
+    if not 1 < d < ctx.p:
+        raise HypothesisFailed(f"needs 1 < d < p, got p = {ctx.p}, d = {d}")
+    x, gp = Poly.x(ctx), derivative(g)
+    quo = divrem((g - x * gp) * x * derivative(gp), gp)[0]
+    return ctx.mul(quo.coeff(0), ctx.inv(d - 1))
+
+
+def main_term_additive_sl(g: Poly, psi: AdditiveChar) -> complex:
+    """(-1)^(d-1) q rho^d(-1) (psi(b_0) rho(d(d-1)a_d/2) g(rho,psi))^(d-1), rho quadratic."""
     ctx = g.ctx
     d = g.degree
-    q = ctx.q
-    if rho.order != 2:
-        raise ValueError("rho must be the quadratic character")
-    half = ctx.inv(2 % ctx.p)
-    c_elem = ctx.mul(ctx.mul((d * (d - 1)) % ctx.p, half), g.lead)
+    rho = MultChar.quadratic(ctx)
+    c_elem = ctx.mul((d * (d - 1) // 2) % ctx.p, g.lead)
     G = gauss_sum(rho, psi)
-    base = psi.value(local.b0) * rho.value(c_elem) * G
+    base = psi.value(local_b0(g)) * rho.value(c_elem) * G
     val = rho.value(ctx.neg(1)) ** d
     for _ in range(d - 1):
         val *= base
-    val *= q
+    val *= ctx.q
     if (d - 1) % 2 == 1:
         val = -val
     return val
 
 
-def main_term_additive_sp(beta: int, psi: AdditiveChar, q: int, r: int) -> complex:
+def main_term_additive_sp(beta: int, psi: AdditiveChar, r: int) -> complex:
     """(-1)^r psi(-beta)^r q^(r/2 + 1)."""
     if r % 2 != 0:
         raise NotExceptionalCell("symplectic main term needs even r")
     ctx = psi.ctx
-    return psi.value(ctx.neg(beta)) ** r * q ** (r / 2 + 1)
+    return psi.value(ctx.neg(beta)) ** r * ctx.q ** (r / 2 + 1)
 
 
-def main_term_multiplicative(
-    g: Poly, chi: MultChar, psi: AdditiveChar, q: int, d: int
-) -> complex:
+def main_term_multiplicative(g: Poly, chi: MultChar, psi: AdditiveChar) -> complex:
     """(-1)^d q beta with beta = chi((-1)^(d(d-1)/2) a_d^-(d-2) disc(g)) g(chi,psi)^d.
 
     Requires chi^d trivial and all roots of g in k; otherwise only
     |beta| = q^(d/2) is known and RootsNotInBaseField is raised.
     """
     ctx = g.ctx
-    if d != g.degree:
-        raise ValueError("degree mismatch")
+    d = g.degree
     if d % chi.order != 0:
         raise NotExceptionalCell("chi^d must be trivial")
     if g.coeff(d - 1) != 0:
@@ -282,7 +290,7 @@ def main_term_multiplicative(
     beta = chi.value(arg)
     for _ in range(d):
         beta *= G
-    val = q * beta
+    val = ctx.q * beta
     if d % 2 == 1:
         val = -val
     return val
@@ -347,7 +355,7 @@ class BoundReport:
     strict: bool = False
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "kind": self.kind,
             "bound": self.bound,
             "main_term_re": self.main_term.real if self.main_term is not None else None,
@@ -359,7 +367,6 @@ class BoundReport:
             "applicable": self.applicable,
             "strict": self.strict,
         }
-        return out
 
 
 # exceptional cells whose residual must stay strictly below the bound
@@ -400,9 +407,7 @@ def report_weil_multiplicative(
     return _finish("WeilMult", bound, None, hyps)
 
 
-def report_translation_additive(
-    g: Poly, psi: AdditiveChar, r: int, rho: MultChar | None = None
-) -> BoundReport:
+def report_translation_additive(g: Poly, psi: AdditiveChar, r: int) -> BoundReport:
     """Improved bound for sums of psi(Tr g(x^q - x)) on k_r.
 
     Routes between the generic branch and the self-dual branch by testing
@@ -412,8 +417,6 @@ def report_translation_additive(
     ctx = g.ctx
     d = g.degree
     p, q = ctx.p, ctx.q
-    if rho is None and q % 2 == 1:
-        rho = MultChar.quadratic(ctx)
     hyps = [
         Hypothesis("d >= 3", d >= 3, f"d = {d}"),
         Hypothesis("p > d", p > d, f"p = {p}, d = {d}"),
@@ -438,7 +441,7 @@ def report_translation_additive(
                 f"r = {r}, d = {d}",
             )
         )
-        main = main_term_additive_sp(beta, psi, q, r)
+        main = main_term_additive_sp(beta, psi, r)
         return _finish("TransAddSpExc", bound, main, hyps)
 
     if d % 2 == 1 and d % p == 0:
@@ -463,8 +466,7 @@ def report_translation_additive(
     )
     main = None
     if roots_ok and all(h.passed for h in hyps):
-        local = compute_local_data(g)
-        main = main_term_additive_sl(g, local, psi, rho)
+        main = main_term_additive_sl(g, psi)
     return _finish("TransAddExc", bound, main, hyps)
 
 
@@ -521,7 +523,7 @@ def report_translation_multiplicative(
     )
     main = None
     if splits and all(h_.passed for h_ in hyps):
-        main = main_term_multiplicative(g, chi, psi, q, d)
+        main = main_term_multiplicative(g, chi, psi)
     return _finish("TransMultExc", bound, main, hyps)
 
 

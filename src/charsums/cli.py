@@ -106,9 +106,10 @@ class ExperimentConfig:
 
 
 def _as_list(v, name, errors):
-    if isinstance(v, int):
+    # type(v) is int throughout: a JSON true is a bool, which isinstance counts as an int
+    if type(v) is int:
         return [v]
-    if isinstance(v, list) and all(isinstance(x, int) for x in v) and v:
+    if isinstance(v, list) and all(type(x) is int for x in v) and v:
         return list(v)
     errors.append(f"{name}: expected an int or nonempty list of ints")
     return []
@@ -134,20 +135,18 @@ def parse_config(data: dict) -> ExperimentConfig:
         "seed",
         "workers",
     }
-    for key in data:
-        if key not in known:
-            errors.append(f"unknown field {key!r}")
-    if data.get("version") != 1:
+    errors.extend(f"unknown field {key!r}" for key in data if key not in known)
+    if type(data.get("version")) is not int or data["version"] != 1:
         errors.append("version: must be 1")
     kind = data.get("kind")
     if kind not in KINDS:
         errors.append(f"kind: must be one of {KINDS}")
     p = data.get("p")
     s = data.get("s", 1)
-    p_ok = isinstance(p, int) and is_prime(p)
+    p_ok = type(p) is int and is_prime(p)
     if not p_ok:
         errors.append("p: prime required")
-    if not isinstance(s, int) or s < 1:
+    if type(s) is not int or s < 1:
         errors.append("s: must be >= 1")
     elif p_ok and s * math.log2(p) >= 63:
         errors.append("s: p^s must be below 2^63")
@@ -165,7 +164,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         char = {}
     char_b = char.get("b", 1)
     char_m = char.get("m", 2)
-    if not isinstance(char_b, int) or not isinstance(char_m, int) or char_m < 1:
+    if type(char_b) is not int or type(char_m) is not int or char_m < 1:
         errors.append("char: b and m must be ints, m >= 1")
         char_b, char_m = 1, 2
 
@@ -194,29 +193,32 @@ def parse_config(data: dict) -> ExperimentConfig:
         if not isinstance(constraints, dict) or set(constraints) - set(CONSTRAINT_KEYS):
             errors.append(f"poly.constraints: allowed keys are {CONSTRAINT_KEYS}")
             constraints = {}
+        if any(type(v) is not bool for v in constraints.values()):
+            errors.append(f"poly.constraints: each value must be true or false, got {json.dumps(constraints)}")
+            constraints = {}
         errors.extend(f"poly.constraints: {msg}" for msg in constraint_errors(constraints, d_list))
         if "seed" not in data:
             errors.append("seed: mandatory for random polynomial sources")
-        if not d_list:
+        if "d" not in data:
             errors.append("d: required for random polynomial sources")
     else:
         errors.append("poly.source: must be 'random' or 'explicit'")
 
     trials = data.get("trials", 1)
-    if not isinstance(trials, int) or trials < 1:
+    if type(trials) is not int or trials < 1:
         errors.append("trials: must be >= 1")
     cap = data.get("cap", DEFAULT_CAP)
-    if not isinstance(cap, int) or not 0 < cap <= MAX_CAP:
+    if type(cap) is not int or not 0 < cap <= MAX_CAP:
         errors.append(f"cap: must be in (0, 2^26], got {cap!r}")
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         errors.append("seed: must be an int")
     workers = data.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if type(workers) is not int or workers < 1:
         errors.append("workers: must be >= 1")
 
     # p^s is only formed below 2^63: with a huge s it would not finish
-    if isinstance(p, int) and isinstance(s, int) and p >= 2 and s >= 1 and s * math.log2(p) < 63:
+    if type(p) is int and type(s) is int and p >= 2 and s >= 1 and s * math.log2(p) < 63:
         q = p**s
         if isinstance(char_b, int) and char_b % q == 0:
             errors.append("char.b: additive character must be nontrivial (b != 0 mod q)")
@@ -243,7 +245,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             bad_e = [e for e in e_list if e < 1 or (q - 1) % e]
             if bad_e:
                 errors.append(f"e: {', '.join(map(str, bad_e))} must divide q - 1 = {q - 1}")
-        if isinstance(cap, int) and 0 < cap <= MAX_CAP:
+        if type(cap) is int and 0 < cap <= MAX_CAP:
             # q >= 2 and cap <= 2^26, so q^r exceeds the cap for every r > 26
             big_r = [r for r in r_list if q ** min(r, 27) > cap]
             if big_r:

@@ -406,11 +406,6 @@ def root_structure(g: Poly, fld) -> RootStructure:
     return RootStructure(roots, mults, total == work.degree)
 
 
-def roots_in(g: Poly, fld) -> list[FqElem]:
-    """All roots of g in the given field, each listed once."""
-    return root_structure(g, fld).roots
-
-
 def split_power_of_x(g: Poly) -> tuple[int, Poly]:
     """Write g = x^a * g0 with g0(0) != 0; returns (a, g0)."""
     if g.is_zero:

@@ -16,6 +16,7 @@ from charsums.boundbook import (
     bound_constant_multiplicative,
     homothety_bound,
     homothety_fiber_bound,
+    local_b0,
     main_term_additive_sl,
     main_term_additive_sp,
     main_term_multiplicative,
@@ -32,14 +33,15 @@ from charsums.boundbook import (
 from charsums.charsum import AdditiveChar, MultChar, gauss_sum
 from charsums.errors import (
     DegenerateReduction,
+    HypothesisFailed,
     MthPower,
     NotExceptionalCell,
     RootsNotInBaseField,
     SequenceMismatch,
 )
-from charsums.localdata import compute_local_data
+from charsums.localdata import compute_local_data, root_branches
 from charsums import boundbook, ffield
-from charsums.polyring import Poly, evaluate, random_poly, roots_in
+from charsums.polyring import Poly, evaluate, random_poly, root_structure
 
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
@@ -96,28 +98,28 @@ def test_resultant_sequence_base_cases():
         lin = Poly.make(F13, (F13.neg(c), 1))
         g2 = resultant_sequence(lin, 2)
         assert g2.degree == 1
-        assert sorted(r.val for r in roots_in(g2, F13)) == [(2 * c) % 13]
+        assert sorted(r.val for r in root_structure(g2, F13).roots) == [(2 * c) % 13]
 
 
 def test_resultant_sequence_root_sets():
     # roots of g_n are the n-fold sums of roots of g
     g = Poly.make(F13, (12, 0, 0, 1))  # roots 1, 3, 9
     g2 = resultant_sequence(g, 2)
-    got = sorted(r.val for r in roots_in(g2, F13))
+    got = sorted(r.val for r in root_structure(g2, F13).roots)
     expect = sorted({(a + b) % 13 for a in (1, 3, 9) for b in (1, 3, 9)})
     assert got == expect == [2, 4, 5, 6, 10, 12]
 
     # degree-2 splitting case, degree 4 and 8 sequence terms over F_5
     h = Poly.make(F5, (2, 2, 1))  # (x-1)(x-2) = x^2 - 3x + 2
-    assert sorted(r.val for r in roots_in(h, F5)) == [1, 2]
+    assert sorted(r.val for r in root_structure(h, F5).roots) == [1, 2]
     h2 = resultant_sequence(h, 2)
-    got = sorted(r.val for r in roots_in(h2, F5))
+    got = sorted(r.val for r in root_structure(h2, F5).roots)
     assert got == sorted({2, 3, 4})
 
     # three-fold sums
     h3 = resultant_sequence(h, 3)
     expect3 = sorted({(a + b + c) % 5 for a in (1, 2) for b in (1, 2) for c in (1, 2)})
-    assert sorted(set(r.val for r in roots_in(h3, F5))) == expect3
+    assert sorted(set(r.val for r in root_structure(h3, F5).roots)) == expect3
 
     # degree 4 with distinct roots: g_2 has degree 16 > 13
     roots4 = (1, 2, 5, 11)
@@ -126,7 +128,7 @@ def test_resultant_sequence_root_sets():
         g4 = g4 * Poly.make(F13, (F13.neg(rt), 1))
     g4_2 = resultant_sequence(g4, 2)
     assert g4_2.degree == 16
-    got = sorted(set(r.val for r in roots_in(g4_2, F13)))
+    got = sorted(set(r.val for r in root_structure(g4_2, F13).roots))
     expect = sorted({(a + b) % 13 for a in roots4 for b in roots4})
     assert got == expect
 
@@ -320,34 +322,60 @@ def test_resultant_sequence_builds_no_field_context(monkeypatch):
 
 def test_main_term_magnitudes():
     psi = AdditiveChar.canonical(F13)
-    rho = MultChar.quadratic(F13)
     # SL: |main| = q^((d+1)/2)
     g = Poly.make(F13, (0, 1, 0, 0, 3))  # 3x^4 + x
-    local = compute_local_data(g)
-    main = main_term_additive_sl(g, local, psi, rho)
+    main = main_term_additive_sl(g, psi)
     assert abs(main) == pytest.approx(13 ** 2.5, rel=1e-9)
     # Sp: |main| = q^(r/2+1)
-    sp = main_term_additive_sp(0, psi, 13, 2)
+    sp = main_term_additive_sp(0, psi, 2)
     assert sp == pytest.approx(169.0)
-    assert main_term_additive_sp(0, AdditiveChar.canonical(F7), 7, 2) == pytest.approx(49.0)
+    assert main_term_additive_sp(0, AdditiveChar.canonical(F7), 2) == pytest.approx(49.0)
     with pytest.raises(NotExceptionalCell):
-        main_term_additive_sp(0, psi, 13, 3)
+        main_term_additive_sp(0, psi, 3)
     # mult: |main| = q^(d/2+1)
     chi3 = MultChar.of_order(F13, 3)
     g3 = Poly.make(F13, (12, 0, 0, 1))
-    m3 = main_term_multiplicative(g3, chi3, psi, 13, 3)
+    m3 = main_term_multiplicative(g3, chi3, psi)
     assert abs(m3) == pytest.approx(13 ** 2.5, rel=1e-9)
 
 
+@pytest.mark.parametrize("p, d", [(3, 4), (5, 5), (7, 9)])
+def test_sl_main_term_needs_p_above_d(p, d):
+    # b_0 divides by d a_d and by d - 1, as the series does; p <= d is a
+    # failed hypothesis, not a division by zero
+    F = make_field(p, 1)
+    g = Poly.make(F, (1, 1) + (0,) * (d - 2) + (1,))
+    with pytest.raises(HypothesisFailed, match=f"p = {p}, d = {d}"):
+        main_term_additive_sl(g, AdditiveChar.canonical(F))
+    with pytest.raises(HypothesisFailed):
+        compute_local_data(g)
+
+
+def test_local_b0_equals_the_series_on_every_branch():
+    # the residue formula against the Laurent series, branch by branch
+    fields = [make_field(p, 1) for p in (7, 11, 13, 17, 19, 23, 29, 31)]
+    fields += [make_field(5, 2), make_field(7, 2), make_field(11, 2)]
+    rng = random.Random(2)
+    pairs = 0
+    for F in fields:
+        for d in range(2, min(F.p - 1, 8) + 1):
+            for _ in range(5):
+                g = random_poly(F, d, rng)
+                b0 = local_b0(g)
+                for br in root_branches(g):
+                    assert compute_local_data(g, branch=br).b0 == b0, (g, br)
+                    pairs += 1
+    assert pairs >= 300
+
+
 def test_sl_main_term_valid_for_every_root_branch():
-    # branch choice may alter the local data, but each branch-computed main
-    # term must satisfy the strict exceptional inequality
+    # the local datum b_0 is the same on every branch of u, and equals the
+    # residue formula; the main term satisfies the strict exceptional
+    # inequality
     from charsums import make_ext
     from charsums.charsum import sum_additive
-    from charsums.localdata import root_branches
 
     psi = AdditiveChar.canonical(F13)
-    rho = MultChar.quadratic(F13)
     e3 = make_ext(F13, 3)
     bound = float(bound_constant_additive(4, 3)) * 13**2
     rng = random.Random(11)
@@ -358,11 +386,9 @@ def test_sl_main_term_valid_for_every_root_branch():
         branches = root_branches(g)
         if len(branches) < 2:
             continue
+        assert {compute_local_data(g, branch=br).b0 for br in branches} == {local_b0(g)}
         S3 = sum_additive(g, psi, e3, inner=("frobsub",))
-        for br in branches:
-            local = compute_local_data(g, branch=br)
-            main = main_term_additive_sl(g, local, psi, rho)
-            assert abs(S3 - main) < bound
+        assert abs(S3 - main_term_additive_sl(g, psi)) < bound
         tested += 1
     assert tested >= 3
 
@@ -374,7 +400,6 @@ def test_sl_main_term_sign_pinned_by_inequality():
     from charsums.charsum import sum_additive
 
     psi = AdditiveChar.canonical(F13)
-    rho = MultChar.quadratic(F13)
     e3 = make_ext(F13, 3)
     bound = float(bound_constant_additive(4, 3)) * 13**2
     rng = random.Random(99)
@@ -383,11 +408,9 @@ def test_sl_main_term_sign_pinned_by_inequality():
     while tested < 8:
         coeffs = [rng.randrange(13) for _ in range(3)] + [0, rng.randrange(1, 13)]
         g = Poly.make(F13, coeffs)
-        try:
-            local = compute_local_data(g)
-        except Exception:
+        if not root_branches(g):  # -d a_d has no cube root in k
             continue
-        main = main_term_additive_sl(g, local, psi, rho)
+        main = main_term_additive_sl(g, psi)
         S3 = sum_additive(g, psi, e3, inner=("frobsub",))
         assert abs(S3 - main) < bound
         if abs(S3 + main) >= bound:
@@ -402,7 +425,7 @@ def test_main_term_mult_beta_example():
     chi3 = MultChar.of_order(F13, 3)
     g3 = Poly.make(F13, (12, 0, 0, 1))
     G = gauss_sum(chi3, psi)
-    main = main_term_multiplicative(g3, chi3, psi, 13, 3)
+    main = main_term_multiplicative(g3, chi3, psi)
     assert main == pytest.approx(-13 * G**3, rel=1e-12)
 
 
@@ -411,12 +434,12 @@ def test_main_term_mult_gates():
     rho = MultChar.quadratic(F13)
     g3 = Poly.make(F13, (12, 0, 0, 1))
     with pytest.raises(NotExceptionalCell):
-        main_term_multiplicative(g3, rho, psi, 13, 3)  # chi^3 nontrivial
+        main_term_multiplicative(g3, rho, psi)  # chi^3 nontrivial
     chi3 = MultChar.of_order(F13, 3)
     g_nosplit = Poly.make(F13, (2, 0, 0, 1))  # x^3 + 2: 11 is not a cube value...
-    if not roots_in(g_nosplit, F13) or len(roots_in(g_nosplit, F13)) < 3:
+    if len(root_structure(g_nosplit, F13).roots) < 3:
         with pytest.raises((RootsNotInBaseField, NotExceptionalCell)):
-            main_term_multiplicative(g_nosplit, chi3, psi, 13, 3)
+            main_term_multiplicative(g_nosplit, chi3, psi)
 
 
 def test_odd_shift_detection():

@@ -22,7 +22,7 @@ from charsums.cli import (
     run,
 )
 from charsums.errors import ConfigInvalid, Unsatisfiable
-from charsums.polyring import is_squarefree, parity_check, Parity, root_structure, roots_in
+from charsums.polyring import is_squarefree, parity_check, Parity, root_structure
 
 BASE_CFG = {
     "version": 1,
@@ -80,7 +80,7 @@ def test_gen_poly_constraints():
 
     f13 = make_field(13, 1)
     g2 = gen_poly(f13, 3, {"splits_in_k": True, "roots_sum_zero": True, "monic": True}, rng)
-    rts = roots_in(g2, f13)
+    rts = root_structure(g2, f13).roots
     assert sum(r.val for r in rts) % 13 == 0 or g2.coeff(2) == 0
 
     g3 = gen_poly(f13, 4, {"squarefree": True, "nonzero_constant": True}, rng)
@@ -192,6 +192,21 @@ def test_run_rejects_cap_overflow():
          "poly.constraints"),
         ({"poly": {"source": "random", "constraints": {"odd": True, "nonzero_constant": True}}},
          "poly.constraints"),
+        # bool is a subclass of int in Python, but a JSON true is not 1
+        ({"version": True}, "version"),
+        ({"s": True}, "s"),
+        ({"r": [True]}, "r"),
+        ({"d": [True]}, "d"),
+        ({"kind": "HomAdd", "e": [True]}, "e"),
+        ({"trials": True}, "trials"),
+        ({"seed": True}, "seed"),
+        ({"workers": True}, "workers"),
+        ({"cap": True}, "cap"),
+        ({"char": {"b": True}}, "char"),
+        ({"char": {"m": True}}, "char"),
+        # a constraint value is a JSON boolean, nothing else
+        ({"poly": {"source": "random", "constraints": {"monic": "yes"}}}, "poly.constraints"),
+        ({"poly": {"source": "random", "constraints": {"squarefree": 0}}}, "poly.constraints"),
     ],
 )
 def test_parse_config_rejects_bad_e_r_and_cap_overflow(tmp_path, capsys, monkeypatch, over, field):
@@ -437,6 +452,18 @@ def test_golden_csv_bytes_through_the_digit_walks(name, monkeypatch):
 
     monkeypatch.setattr(cs, "DLOG_CAP", 1)
     test_golden_csv_bytes(name)
+
+
+def test_exceptional_main_terms_run_no_laurent_series(monkeypatch):
+    # b_0 comes from a residue formula: the series is the test oracle only
+    from charsums import boundbook, localdata
+
+    def series(*args, **kwargs):
+        raise AssertionError("a row ran the Laurent series")
+
+    monkeypatch.setattr(localdata, "compute_local_data", series)
+    monkeypatch.setattr(boundbook, "compute_local_data", series)
+    test_golden_csv_bytes("golden_transadd_exc")
 
 
 @pytest.mark.parametrize(

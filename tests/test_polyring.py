@@ -34,7 +34,6 @@ from charsums.polyring import (
     random_poly,
     resultant,
     root_structure,
-    roots_in,
     shift,
     split_power_of_x,
     squarefree_decomposition,
@@ -208,8 +207,8 @@ def test_squarefree_examples():
 
 def test_roots_examples():
     g = Poly.make(F13, (12, 0, 0, 1))  # x^3 - 1
-    assert sorted(r.val for r in roots_in(g, F13)) == [1, 3, 9]
-    assert roots_in(Poly.make(F7, (1, 0, 1)), F7) == []
+    assert sorted(r.val for r in root_structure(g, F13).roots) == [1, 3, 9]
+    assert root_structure(Poly.make(F7, (1, 0, 1)), F7).roots == []
     rs = root_structure(Poly.make(F7, (0, 0, 1)), F7)
     assert [r.val for r in rs.roots] == [0] and rs.multiplicities == [2]
     assert rs.splits_completely
@@ -223,7 +222,7 @@ def test_roots_cap():
     big = make_field(1021, 1)
     e2 = make_ext(big, 2)
     with pytest.raises(FieldTooLarge):
-        roots_in(Poly.make(big, (1, 1)), e2)
+        root_structure(Poly.make(big, (1, 1)), e2)
 
 
 def test_parity_check():
@@ -250,7 +249,7 @@ def test_squarefree_decomposition_known_structures():
         parts = squarefree_decomposition(f)
         got = {}
         for part, mult in parts:
-            for root in roots_in(part, F7):
+            for root in root_structure(part, F7).roots:
                 got[root.val] = mult
         expect = {a: e1, b: e2}
         if e1 == e2:
