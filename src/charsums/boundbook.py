@@ -283,6 +283,14 @@ def main_term_multiplicative(g: Poly, chi: MultChar, psi: AdditiveChar) -> compl
         raise NotExceptionalCell("needs a_{d-1} = 0")
     if not root_structure(g, ctx).splits_completely:
         raise RootsNotInBaseField("beta value needs all roots of g in k")
+    return _main_term_multiplicative(g, chi, psi)
+
+
+def _main_term_multiplicative(g: Poly, chi: MultChar, psi: AdditiveChar) -> complex:
+    # the value of main_term_multiplicative, for a caller that has checked
+    # its hypotheses: each root search is exhaustive over k
+    ctx = g.ctx
+    d = g.degree
     arg = ctx.mul(ctx.pow_(g.lead, -(d - 2)), discriminant(g).val)
     if (d * (d - 1) // 2) % 2 == 1:
         arg = ctx.neg(arg)
@@ -523,7 +531,7 @@ def report_translation_multiplicative(
     )
     main = None
     if splits and all(h_.passed for h_ in hyps):
-        main = main_term_multiplicative(g, chi, psi)
+        main = _main_term_multiplicative(g, chi, psi)
     return _finish("TransMultExc", bound, main, hyps)
 
 

@@ -22,12 +22,14 @@ Larger fields take the digit walks, which compute on digit tuples
 through `ExtCtx._kops` and are the log kernel's test oracles: the orbit
 walk visits one necklace of coordinates in a normal basis per orbit,
 the coset walk one product per point of an exponent progression, and
-the full walk every element by its digits.  A pool splits each walk
-into index ranges by its own number of points; the exact integer counts
-are added exactly and evaluated once, so serial runs and worker pools
-produce bit-identical values.  A pool task carries the extension
-context itself; it pickles back into its `make_ext` call, so each
-worker builds a field once and reuses it for every later task.
+the full walk every element by its digits.  The pool serves these
+digit walks only: it splits each walk into index ranges by its own
+number of points, and the pool of `cli.run` starts on its first such
+split.  The exact integer counts are added exactly and evaluated once,
+so serial runs and worker pools produce bit-identical values.  A pool
+task carries the extension context itself; it pickles back into its
+`make_ext` call, so each worker builds a field once and reuses it for
+every later task.
 Multiplicative characters are only ever evaluated on the small base
 field k, after taking norms, from the logs of k.
 """

@@ -9,21 +9,20 @@ bound, the exceptional main term when one applies, and pass flags.
 Determinism: field/extension construction uses fixed seeds, polynomial
 draws derive from the config seed alone, and every sum is evaluated once
 from exact integer counts, so replaying a config reproduces the CSV
-except for the wall-time column.  Worker pools parallelize over
-enumeration partitions; their counts are added exactly, so the worker
-count cannot change any numeric output.
+except for the wall-time column.  Workers matter only above
+ffield.DLOG_CAP: there the kernel splits each digit walk into partitions
+on a pool, which starts on the first split, and adds their counts
+exactly, so the worker count cannot change any numeric output.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 
 from .boundbook import (
@@ -445,6 +444,26 @@ def _make_row(rep, base, ext, g, m, S, weil, t0):
     )
 
 
+class _LazyPool:
+    """A process pool that starts on its first `map`: only the digit walks
+    above DLOG_CAP split into partitions, so most runs never start one."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.executor = None
+
+    def map(self, fn, iterable):
+        if self.executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            self.executor = ProcessPoolExecutor(max_workers=self.workers)
+        return self.executor.map(fn, iterable)
+
+    def shutdown(self):
+        if self.executor is not None:
+            self.executor.shutdown()
+
+
 def run(config: ExperimentConfig, pool=None) -> list[ResultRow]:
     """Execute a config; deterministic given its seed (wall time aside)."""
     base = make_field(config.p, config.s, seed=0)
@@ -452,8 +471,7 @@ def run(config: ExperimentConfig, pool=None) -> list[ResultRow]:
     rows: list[ResultRow] = []
     own_pool = None
     if pool is None and config.workers > 1:
-        own_pool = ProcessPoolExecutor(max_workers=config.workers)
-        pool = own_pool
+        own_pool = pool = _LazyPool(config.workers)
     try:
         for r in config.r:
             if base.q**r > config.cap:
@@ -625,7 +643,9 @@ def check_identity(kind: str, p: int, s: int, r: int, seed: int, trials: int) ->
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="charsums",
         description="Character-sum oracles and improved Weil-type bound verification.",

@@ -18,7 +18,8 @@ the product from k's discrete logs and the sum by base-p digit
 addition; above it they are computed by that extension on lookup.  An
 extension with q^r <= DLOG_CAP has Zech-logarithm tables over its
 generator (`ExtCtx._logs`: log, 1 + gamma^n and trace, as arrays),
-built in one walk on first use, on which `charsum`'s log kernel runs.
+built in one walk on first use (a block of exponents at a time on a
+large field), on which `charsum`'s log kernel runs.
 They are the only discrete-log tables: k's logs (`FieldCtx._log`) are
 the `log` array of F_p at r = 1 or of F_{p^s} as its extension of F_p.
 `make_field` and `make_ext` share one seeded search for modulus and
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -53,6 +55,11 @@ TABLE_CAP = 1024
 # discrete-log tables: of k (and hence multiplicative character evaluation
 # on k), and the Zech-logarithm tables of k_r, whose sums then run on them
 DLOG_CAP = 1 << 22
+# log tables of q^r >= BLOCK_FLOOR elements (but F_p) are built BLOCK
+# exponents at a time (`_block_walk`); smaller ones by the slot walk,
+# whose fixed cost is lower
+BLOCK = 1 << 11
+BLOCK_FLOOR = 1 << 12
 MAX_CARD = 1 << 63
 
 
@@ -685,7 +692,8 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
     whose tables come from these logs.  A composite k at r = 1 shares log
     and zech with k's own tables (k as the extension of F_p, over the same
     generator and packing), and its trace, gamma^n itself, inverts log.
-    Every other field takes the slot walk.
+    Every other field takes the block walk (`_block_walk`) from
+    BLOCK_FLOOR elements on, and the slot walk below.
     """
     p, size = ext.p, ext.size
     if size > DLOG_CAP:
@@ -699,25 +707,109 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
         return SimpleNamespace(log=own.log, zech=own.zech, trace=trace, half=own.half)
     log = array("i", [-1]) * size
     trace = array("i", [0]) * units
+    zech = None
     if size == p:
         g, v = ext.generator_r, 1
         for k in range(units):
             log[v] = k
             trace[k] = v
             v = v * g % p
-    else:
+    elif size < BLOCK_FLOOR:
         v = _slot_walk(ext, log, trace)
-    # gamma^N = 1 first at N: the walk met every unit once
-    if v != 1 or log[1] != 0:
+    else:
+        zech = array("i", [0]) * units
+        v = _block_walk(ext, log, trace, zech)
+    # gamma^N = 1, and the walk met every unit exactly once
+    if v != 1 or log[0] != -1 or log.count(-1) != 1:
         raise RuntimeError(f"generator {ext.generator_r} of {ext!r} does not have order {units}")
 
-    # 1 + x raises the lowest base-p digit of the packed value by one mod p
-    up = log[1:] + log[:1]
-    up[p - 1::p] = log[::p]
-    zech = array("i", [0]) * units
-    for a, z in zip(islice(log, 1, None), islice(up, 1, None)):
-        zech[a] = z
+    if zech is None:
+        # 1 + x raises the lowest base-p digit of the packed value by one mod p
+        up = log[1:] + log[:1]
+        up[p - 1::p] = log[::p]
+        zech = array("i", [0]) * units
+        for a, z in zip(islice(log, 1, None), islice(up, 1, None)):
+            zech[a] = z
+    else:
+        # the block walk left the packed value of 1 + gamma^n there: read its log
+        for a in range(0, units, BLOCK):
+            zech[a:a + BLOCK] = array("i", [log[v] for v in zech[a:a + BLOCK]])
     return SimpleNamespace(log=log, zech=zech, trace=trace, half=log[p - 1])
+
+
+def _digit_rows(ext: ExtCtx, c: int) -> list[list[int]]:
+    """x -> c * x on the n = r * s base-p digits of a packed value, as an
+    F_p matrix: digit i of c * x is sum_j rows[i][j] * x_j mod p."""
+    p, n = ext.p, ext.r * ext.base.s
+    cols = [ext.mul(c, p**j) for j in range(n)]
+    return [[v // p**i % p for v in cols] for i in range(n)]
+
+
+def _block_walk(ext: ExtCtx, log, trace, succ) -> int:
+    """Fill log, trace and succ[n] = the packed value of 1 + gamma^n by the
+    walk n -> gamma^n, BLOCK exponents at a time, and return gamma^N.
+
+    Each base-p digit of gamma^n is a lane of one int, one lane of `width`
+    bits per exponent of the block.  The next block is the last one times
+    gamma^BLOCK, an F_p-linear map of the digits (`_digit_rows`): per digit,
+    n constant multiples of the digit ints.  The first block comes by
+    doubling from gamma^0, and its digit 0 is checked against gamma times
+    the block.  A lane then holds at most top = n (p - 1)^2, and every lane
+    is reduced mod p at once by x - p ((x m >> k) & low), exact since
+    top * p < 2^k and top * m < 2^width.  The packed values, the traces (a
+    linear combination of the digit ints) and the packed values of
+    1 + gamma^n are read out a block at a time as arrays.
+    """
+    p, size, s = ext.p, ext.size, ext.base.s
+    n, lanes, g = ext.r * s, BLOCK, ext.generator_r
+    top = n * (p - 1) ** 2
+    k = (top * p).bit_length()
+    m = -(-(1 << k) // p)
+    width = 32 if (top * m).bit_length() <= 32 else 64
+    ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * lanes, "little")
+    low = ones * ((1 << (width - k)) - 1)
+    nbytes, stride = lanes * width // 8, width // 32
+
+    def reduce(x):
+        return x - p * ((x * m >> k) & low)
+
+    def apply(rows, digits):
+        return [reduce(sum(c * d for c, d in zip(row, digits) if c)) for row in rows]
+
+    def read(x, count):
+        # lanes 0 .. count - 1 of x as an array("i")
+        a = array("i", x.to_bytes(nbytes, "little"))
+        if sys.byteorder == "big":
+            a.byteswap()
+        return a[:count * stride:stride]
+
+    def packed(digits):
+        return sum(p**i * d for i, d in enumerate(digits))
+
+    # digit t of Tr(p^j), as a matrix on the digits
+    traces = [ext.trace_to_base(p**j) for j in range(n)]
+    trace_rows = [[v // p**t % p for v in traces] for t in range(s)]
+
+    x, w, c = [1] + [0] * (n - 1), 1, g  # gamma^0 in one lane, and c = gamma^w
+    while w < lanes:
+        x = [d | y << (w * width) for d, y in zip(x, apply(_digit_rows(ext, c), x))]
+        w, c = 2 * w, ext.mul(c, c)
+    # digit 0 of gamma times the first block is digit 0 of the block moved
+    # down one lane, with gamma^BLOCK on top (n products, not n^2)
+    if apply(_digit_rows(ext, g)[:1], x)[0] != x[0] >> width | c % p << (lanes - 1) * width:
+        raise RuntimeError(f"the first block of {ext!r} is not the powers of its generator {g}")
+    step = _digit_rows(ext, c)
+    for e in range(0, size, lanes):
+        count = min(lanes, size - 1 - e)  # the exponents of this block below N
+        pv = packed(x)
+        values = read(pv, lanes)
+        for i, v in enumerate(values[:count], e):
+            log[v] = i
+        trace[e:e + count] = read(packed(apply(trace_rows, x)), count)
+        succ[e:e + count] = read(pv - x[0] + reduce(x[0] + ones), count)
+        if count < lanes:  # the next lane holds exponent N
+            return values[count]
+        x = apply(step, x)
 
 
 def _slot_walk(ext: ExtCtx, log, trace) -> int:

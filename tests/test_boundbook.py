@@ -442,6 +442,26 @@ def test_main_term_mult_gates():
             main_term_multiplicative(g_nosplit, chi3, psi)
 
 
+def test_an_exceptional_transmult_row_searches_for_the_roots_once(monkeypatch):
+    # "all roots of g in k" and the main term's own guard share one search
+    psi = AdditiveChar.canonical(F13)
+    chi3 = MultChar.of_order(F13, 3)
+    g3 = Poly.make(F13, (12, 0, 0, 1))  # x^3 - 1 = (x - 1)(x - 3)(x - 9)
+    calls = []
+
+    def counted(g, fld):
+        calls.append(g)
+        return root_structure(g, fld)
+
+    monkeypatch.setattr(boundbook, "root_structure", counted)
+    rep = report_translation_multiplicative(g3, chi3, psi, 3)
+    assert rep.kind == "TransMultExc" and rep.applicable and len(calls) == 1
+    assert rep.main_term == main_term_multiplicative(g3, chi3, psi)
+    # called directly, the main term still checks that g splits over k
+    with pytest.raises(RootsNotInBaseField):
+        main_term_multiplicative(Poly.make(F13, (2, 0, 0, 1)), chi3, psi)  # -2 is no cube mod 13
+
+
 def test_odd_shift_detection():
     # x^3 + x is already odd
     ok, c, beta = odd_shift_data(Poly.make(F7, (0, 1, 0, 1)))

@@ -3,7 +3,10 @@
 import csv
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -436,11 +439,11 @@ GOLDEN = sorted(path.stem for path in (Path(__file__).parent / "data").glob("gol
 
 
 @pytest.mark.parametrize("name", GOLDEN)
-def test_golden_csv_bytes(name):
+def test_golden_csv_bytes(name, workers=1):
     # every kind, a TransAddExc main term, empty main cells and a quoted
     # bracketed polynomial: recorded CSVs pin the row bytes across commits
     data = Path(__file__).parent / "data"
-    config = parse_config(json.loads((data / f"{name}.json").read_text()))
+    config = parse_config({**json.loads((data / f"{name}.json").read_text()), "workers": workers})
     assert csv_without_timing(rows_to_csv(run(config))) == (data / f"{name}.csv").read_text()
 
 
@@ -452,6 +455,43 @@ def test_golden_csv_bytes_through_the_digit_walks(name, monkeypatch):
 
     monkeypatch.setattr(cs, "DLOG_CAP", 1)
     test_golden_csv_bytes(name)
+
+
+def test_a_run_below_the_log_table_cap_starts_no_pool():
+    # with two workers, a config whose fields are all under DLOG_CAP never
+    # splits a digit walk, so the process imports no process pool at all
+    data = Path(__file__).parent / "data"
+    code = (
+        "import json, sys\n"
+        "from charsums import cli\n"
+        f"data = json.loads(open({str(data / 'golden_transadd.json')!r}).read())\n"
+        "rows = cli.run(cli.parse_config({**data, 'workers': 2}))\n"
+        "sys.stdout.write(cli.csv_without_timing(cli.rows_to_csv(rows)))\n"
+        "print(*[m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules],\n"
+        "      file=sys.stderr)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == (data / "golden_transadd.csv").read_text()
+    assert out.stderr == "\n"
+
+
+def test_a_digit_walk_above_the_cap_starts_the_pool_and_shuts_it_down(monkeypatch):
+    # F_2053^2 lies above DLOG_CAP: its coset walks split on the pool, which
+    # starts on the first split, and the CSV bytes are the 1-worker bytes
+    pools = []
+
+    class Pool(cli._LazyPool):
+        def map(self, fn, iterable):
+            pools.append(self)
+            return super().map(fn, iterable)
+
+    monkeypatch.setattr(cli, "_LazyPool", Pool)
+    test_golden_csv_bytes("golden_homadd_above_cap", workers=2)
+    assert pools and all(pool is pools[0] for pool in pools)
+    with pytest.raises(RuntimeError):
+        pools[0].executor.submit(int)  # shut down when run returned
 
 
 def test_exceptional_main_terms_run_no_laurent_series(monkeypatch):

@@ -1,5 +1,6 @@
 """Field construction, trace/norm laws, enumeration and dlog."""
 
+import itertools
 import operator
 import pickle
 import random
@@ -22,6 +23,7 @@ from charsums import (
     trace,
 )
 from charsums.errors import CtxMismatch, NotPrime, Overflow, ZeroElement
+from charsums import ffield as ff
 from charsums.ffield import TABLE_CAP, _kops_flavor, _slot_walk, power, rank_over
 
 
@@ -486,9 +488,75 @@ def test_r1_tables_of_a_composite_k_are_k_own_and_equal_the_slot_walk(ps):
     assert log == tabs.log and trace == tabs.trace
 
 
-# (p, s, r): r = 1 and r > 1, p = 2, composite bases, and r = 1 on the
-# mod-p (F_1031) and generic (F_2048) flavours
-LOG_FIELDS = [(2, 1, 1), (7, 1, 1), (2, 1, 5), (13, 1, 3), (3, 2, 3), (2, 2, 3), (1031, 1, 1), (2, 11, 1)]
+def _slot_walk_tables(ext):
+    # log and trace by the slot walk, and zech from log: 1 + x raises the
+    # lowest base-p digit of the packed value x by one mod p
+    p, size = ext.p, ext.size
+    log, trace = array("i", [-1]) * size, array("i", [0]) * (size - 1)
+    assert _slot_walk(ext, log, trace) == 1
+    zech = array("i", [0]) * (size - 1)
+    for v in range(1, size):
+        zech[log[v]] = log[v + 1 if v % p != p - 1 else v - (p - 1)]
+    return log, trace, zech
+
+
+@pytest.mark.parametrize("pr", [(13, 1, 4), (3, 2, 4), (31, 1, 3), (2, 1, 13), (2, 2, 6)])
+def test_block_walk_tables_equal_the_slot_walk(pr):
+    # every table of at least BLOCK_FLOOR elements is built a block of
+    # exponents at a time: the same arrays as the slot walk's
+    ext = make_ext(make_field(*pr[:2]), pr[2])
+    assert ext.size >= ff.BLOCK_FLOOR
+    tabs = ff._log_tables(ext)
+    assert (tabs.log, tabs.trace, tabs.zech) == _slot_walk_tables(ext)
+    assert tabs.half == tabs.log[ext.p - 1]
+
+
+@pytest.mark.parametrize("pr", [(7, 1, 4), (5, 1, 3)])
+def test_block_walk_joins_blocks_on_small_fields(pr, monkeypatch):
+    # 64 lanes a block: F_7^4 takes 38 blocks, F_5^3 two, the last partial
+    monkeypatch.setattr(ff, "BLOCK", 64)
+    monkeypatch.setattr(ff, "BLOCK_FLOOR", 0)
+    ext = make_ext(make_field(*pr[:2]), pr[2])
+    tabs = ff._log_tables(ext)
+    assert (tabs.log, tabs.trace, tabs.zech) == _slot_walk_tables(ext)
+
+
+def test_block_walk_never_returns_tables_from_a_wrong_multiplier(monkeypatch):
+    # every change of one entry of one multiplier matrix, gamma^w for the
+    # doublings (w < BLOCK) and the block joins (w = BLOCK), over F_5^3 in
+    # blocks of 16: the build raises, or the walk never reads that entry and
+    # the tables are right.  Some changes to the doublings give a wrong walk
+    # that still ends at 1 and meets every unit once; the check of the
+    # first block against gamma times itself finds those
+    monkeypatch.setattr(ff, "BLOCK", 16)
+    monkeypatch.setattr(ff, "BLOCK_FLOOR", 0)
+    ext = make_ext(make_field(5, 1), 3)
+    right = ff._log_tables(ext)
+    digit_rows = ff._digit_rows
+    raised = 0
+    for w in (1, 2, 4, 8, 16):
+        wrong = ext.pow_(ext.generator_r, w)
+        for i, j, delta in itertools.product(range(3), range(3), range(1, 5)):
+            def changed(ext, c):
+                rows = digit_rows(ext, c)
+                if c == wrong:
+                    rows[i][j] = (rows[i][j] + delta) % ext.p
+                return rows
+
+            monkeypatch.setattr(ff, "_digit_rows", changed)
+            try:
+                tabs = ff._log_tables(ext)
+            except RuntimeError:
+                raised += 1
+            else:
+                assert (tabs.log, tabs.trace, tabs.zech) == (right.log, right.trace, right.zech), (w, i, j, delta)
+    assert raised > 100  # of 180 changes
+
+
+# (p, s, r): r = 1 and r > 1, p = 2, composite bases, r = 1 on the mod-p
+# (F_1031) and generic (F_2048) flavours, and a block-built table (F_13^4)
+LOG_FIELDS = [(2, 1, 1), (7, 1, 1), (2, 1, 5), (13, 1, 3), (3, 2, 3), (2, 2, 3), (1031, 1, 1), (2, 11, 1),
+              (13, 1, 4)]
 
 
 @pytest.mark.parametrize("p, s, r", LOG_FIELDS)
