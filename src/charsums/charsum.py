@@ -5,28 +5,33 @@ elements of k_r (or of a norm fiber) whose trace or norm index is v.
 One rule, `_walk`, picks the points both kernels visit, the first that
 applies: for a norm fiber N(x) = mu, the class of exponents
 i = i0 mod q - 1 of x = gamma^i, gamma = generator_r, with i0 from the
-logs of k; for f over k at r > 1, one point per Frobenius orbit,
-weighted by the orbit's size, since the summand is constant on orbits;
-for the pow plan x -> x^n, which is d-to-1 on k_r^*, d = gcd(n, q^r - 1),
-its image, the multiples of d, each weighted d; otherwise every
-exponent; and 0 where it belongs.
+logs of k; for the frobsub plan x -> x^q - x, which is q-to-1 from k_r
+onto the trace-zero hyperplane H (additive Hilbert 90), its image, each
+point of H and 0 of weight q, so that nothing computes x^q - x; for f
+over k at r > 1, one point per Frobenius orbit, weighted by the orbit's
+size, since the summand is constant on orbits; for the pow plan
+x -> x^n, which is d-to-1 on k_r^*, d = gcd(n, q^r - 1), its image, the
+multiples of d, each weighted d; otherwise every exponent; and 0 where
+it belongs.
 
 On a field with q^r <= ffield.DLOG_CAP the log kernel counts them: the
 Zech-logarithm tables `ExtCtx._logs` turn a product into an addition of
 exponents mod q^r - 1 and an addition into one table lookup, so f costs
 one lookup per nonzero coefficient and the trace or norm index one
-more; the orbits are the cyclotomic cosets.  It runs in the calling
-process, since on two cores a partition pool cost more than it saved.
+more; the orbits are the cyclotomic cosets, and the units of H the
+exponents of trace 0.  It runs in the calling process, since on two
+cores a partition pool cost more than it saved.
 
 Larger fields take the digit walks, which compute on digit tuples
 through `ExtCtx._kops` and are the log kernel's test oracles: the orbit
 walk visits one necklace of coordinates in a normal basis per orbit,
 the coset walk one product per point of an exponent progression, and
-the full walk every element by its digits.  The pool serves these
-digit walks only: it splits each walk into index ranges by its own
-number of points, and the pool of `cli.run` starts on its first such
-split.  The exact integer counts are added exactly and evaluated once,
-so serial runs and worker pools produce bit-identical values.  A pool
+the full walk every element by its digits; H is the orbit or the full
+walk kept to its points of trace 0.  The pool serves these digit walks
+only: it splits each walk into index ranges by its own number of
+points, and the pool of `cli.run` starts on its first such split.  The
+exact integer counts are added exactly and evaluated once, so serial
+runs and worker pools produce bit-identical values.  A pool
 task carries the extension context itself; it pickles back into its
 `make_ext` call, so each worker builds a field once and reuses it for
 every later task.
@@ -44,7 +49,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, islice, product, repeat
+from itertools import accumulate, chain, compress, islice, product, repeat
 
 from .errors import CtxMismatch, FieldTooLarge, NotABasis, ZeroMu
 # make_ext and make_field are unused here but stay importable from this
@@ -232,29 +237,13 @@ def _plan_ok(inner) -> bool:
     return inner in (None, ("frobsub",)) or isinstance(n, int) and n >= 1
 
 
-def _inner_fn(ko, inner):
-    """Exact evaluation plan for the summation variable.
-
-    None: identity.  ("frobsub",): x^q - x.  ("pow", n): x^n.  All plans
-    are exact field arithmetic, so any plan equals evaluating the
-    corresponding composed polynomial.  The orbit walk may apply the plan
-    to its points, since every plan commutes with Frobenius; the pow image
-    walk visits the values x^n themselves and applies the identity.
-    """
-    if inner is None:
-        return lambda x: x
-    if inner[0] == "frobsub":
-        efrob, esub = ko.efrob, ko.esub
-        return lambda x: esub(efrob(x), x)
-    n = inner[1]
-    epow = ko.epow
-    return lambda x: epow(x, n)
-
-
 def _tally(ext, mode, coeffs, inner, points) -> list[int]:
-    """counts[v] += w for every (x, w) in points, where v is Tr f(x) ("S")
-    or N f(x) ("U") with f applied after the inner plan; or, for "D",
-    v = Tr f(t) + u Tr(t) for every u in k."""
+    """counts[v] += w for every (x, w) in points, where v is Tr f(t) ("S")
+    or N f(t) ("U") for t = x, or t = x^n under the plan ("pow", n), which
+    the orbit walk may apply as it commutes with Frobenius; or, for "D",
+    v = Tr f(t) + u Tr(t) for every u in k.  The plan ("frobsub",) is
+    never applied: its walk keeps the points of trace 0, each q times,
+    since x^q - x is q-to-1 onto them (see `_walk`)."""
     ko = ext._kops
     q = ext.base.q
     emul, eadd, etr, enorm = ko.emul, ko.eadd, ko.etr, ko.enorm
@@ -275,9 +264,12 @@ def _tally(ext, mode, coeffs, inner, points) -> list[int]:
         return [c + spread for c in counts]
 
     index = etr if mode == "S" else enorm
-    inner_f = _inner_fn(ko, inner)
-    for x, w in points:
-        t = inner_f(x)
+    if inner == ("frobsub",):
+        points = ((x, q * w) for x, w in points if not etr(x))
+    elif inner is not None:
+        epow, n = ko.epow, inner[1]
+        points = ((epow(x, n), w) for x, w in points)
+    for t, w in points:
         acc = lead
         for c in rest:
             acc = eadd(emul(acc, t), c)
@@ -288,7 +280,7 @@ def _tally(ext, mode, coeffs, inner, points) -> list[int]:
 def _count_part(task) -> list[int]:
     """The full walk: every element of an index range of k_r, weight 1,
     by its digits and with no product, for a walk that visits every
-    element once (see `_walk`)."""
+    element once or every element of H (see `_walk`)."""
     ext, mode, coeffs, inner, start, stop = task
     xs = islice(product(range(ext.base.q), repeat=ext.r), start, stop)
     return _tally(ext, mode, coeffs, inner, zip(xs, repeat(1)))
@@ -299,7 +291,8 @@ def _count_orbits(task) -> list[int]:
     orbit's size, over `count` necklaces from `start` on.
 
     For f over k, Tr f(x) and N f(x) are constant on the orbit of x, and
-    so is Tr f(t) + u Tr(t); every inner plan commutes with Frobenius.
+    so are Tr f(t) + u Tr(t) and Tr x, which keeps an orbit in H or out
+    of it; the pow plan commutes with Frobenius.
     In the normal basis Frobenius rotates coordinates, so the orbits are
     the necklaces of length r over k and an orbit's size is its
     necklace's period: the weighted counts equal the full walk's exactly.
@@ -367,7 +360,7 @@ def _cyclotomic_cosets(q: int, r: int) -> tuple[array, array]:
     return leaders, sizes
 
 
-def _walk(ext, mode, coeffs, inner, mu):
+def _walk(ext, coeffs, inner, mu):
     """The points a sum visits, the same for both kernels, as (inner,
     exponents, weight, zero): the plan to apply, x = gamma^i for i in the
     range `exponents` (None: one leader per Frobenius orbit, weighted by
@@ -375,12 +368,17 @@ def _walk(ext, mode, coeffs, inner, mu):
 
     With gamma = generator_r and N = q^r - 1, the first that applies:
     a fiber N(x) = mu is the class i = i0 mod q - 1, since N(gamma^i) =
-    N(gamma)^i and N(gamma) generates k^*, with i0 from k's logs; for f
-    over k (coefficients packed below q) at r > 1, the Frobenius orbits,
-    on which the summand is constant; an S or U sum with the ("pow", n)
+    N(gamma)^i and N(gamma) generates k^*, with i0 from k's logs; the
+    ("frobsub",) plan takes its image H = ker Tr, onto which x^q - x is
+    q-to-1, each point of H and 0 of weight q: the plan comes back as
+    H's mark with the exponents of the walk f alone would take, which
+    the digit walks keep to H, while the log kernel lists H's units
+    itself; for f over k (coefficients packed below q) at r > 1, the
+    Frobenius orbits, on which the summand is constant; the ("pow", n)
     plan takes its image, the multiples of d = gcd(n, N), each of weight
     d, under the identity plan; anything else takes every exponent.
-    Every walk but the fiber also visits 0 once.
+    Every walk but the fiber also visits 0.  Only S and U sums off a
+    fiber come with a plan (`_enumerate` checks).
     """
     q, units = ext.base.q, ext.size - 1
     if mu is not None:
@@ -388,13 +386,15 @@ def _walk(ext, mode, coeffs, inner, mu):
         i0 = log[mu] * pow(log[norm], -1, q - 1) % (q - 1)
         if ext.base.pow_(norm, i0) != mu:
             raise RuntimeError(f"the fiber of mu = {mu} does not start at gamma^{i0}")
-        return inner, range(i0, units, q - 1), 1, 0
+        return None, range(i0, units, q - 1), 1, 0
+    if inner == ("frobsub",):
+        return inner, _walk(ext, coeffs, None, None)[1], q, q
     if ext.r > 1 and all(c < q for c in coeffs):
         return inner, None, None, 1
-    if inner is not None and inner[0] == "pow" and mode != "D":
+    if inner is not None:
         d = math.gcd(inner[1], units)
         return None, range(0, units, d), d, 1
-    return inner, range(units), 1, 1
+    return None, range(units), 1, 1
 
 
 def _log_tally(ext, mode, coeffs, inner, points, zero) -> list[int]:
@@ -403,9 +403,9 @@ def _log_tally(ext, mode, coeffs, inner, points, zero) -> list[int]:
 
     A product adds logs mod N and a + c = c * (1 + a/c) adds
     zech[log a - log c], so Horner costs one zech lookup per nonzero
-    coefficient; x^q - x = gamma^(i+h) * (1 + gamma^((q-1)i+h)), h = half;
-    x^n has log n * i.  The trace index is trace[log], and the norm index
-    N(gamma^a) = gamma^(a m) depends on a mod q - 1 only.  In mode D,
+    coefficient, and x^n has log n * i.  The trace index is trace[log],
+    and the norm index N(gamma^a) = gamma^(a m) depends on a mod q - 1
+    only.  In mode D,
     u -> a + u * Tr(t) is a bijection of k when Tr(t) != 0, so t adds its
     weight to every bucket, and q times it to bucket a when Tr(t) = 0.
     """
@@ -426,24 +426,14 @@ def _log_tally(ext, mode, coeffs, inner, points, zero) -> list[int]:
     terms = [(hi - lo, log[coeffs[lo]]) for hi, lo in zip(degrees, degrees[1:])]
     at_zero = index[log[coeffs[0]] % period] if coeffs[0] else 0
 
-    # the plan: x^n has log n * i (no plan: n = 1), and x^q - x has log
-    # i + h + zech[(q-1) * i + h], or is 0 for x in k
-    frobsub = inner == ("frobsub",)
-    n = inner[1] if inner is not None and not frobsub else 1
-    h, step = tabs.half, q - 1
+    # the plan: x^n has log n * i (no plan: n = 1)
+    n = inner[1] if inner is not None else 1
     d_mode = mode == "D"
     counts = [0] * q
     counts[at_zero] = zero
     spread = 0
     for i, w in points:
-        if frobsub:
-            z = zech[(step * i + h) % units]
-            if z < 0:
-                counts[at_zero] += w
-                continue
-            e = i + h + z
-        else:
-            e = n * i
+        e = n * i
         if d_mode and trace[i]:
             spread += w
             continue
@@ -475,6 +465,8 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
     """
     if not _plan_ok(inner):
         raise ValueError(f"unknown inner plan {inner!r}: use None, ('frobsub',) or ('pow', n), int n >= 1")
+    if inner is not None and (mu is not None or mode == "D"):
+        raise ValueError(f"the inner plan {inner!r} is for S and U sums, not for a norm fiber or mode D")
     if mu is not None:
         mu = elem(ext.base, mu).val
         if mu == 0:
@@ -486,9 +478,13 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
     if terms > cap:
         raise FieldTooLarge(f"enumeration of {terms} terms exceeds cap {cap}")
     coeffs = lift(f, ext).coeffs or (0,)
-    inner, exponents, weight, zero = _walk(ext, mode, coeffs, inner, mu)
+    inner, exponents, weight, zero = _walk(ext, coeffs, inner, mu)
     if n > DLOG_CAP:
         counts = _digit_counts(mode, coeffs, ext, inner, exponents, weight, zero, pool)
+    elif inner == ("frobsub",):
+        # H's units are the exponents of trace 0, listed in one pass at C level
+        h_exponents = compress(range(n - 1), map(operator.not_, ext._logs.trace))
+        counts = _log_tally(ext, mode, coeffs, None, zip(h_exponents, repeat(weight)), zero)
     elif exponents is None:
         counts = _log_tally(ext, mode, coeffs, inner, zip(*_cyclotomic_cosets(q, ext.r)), zero)
     else:
@@ -506,15 +502,16 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
 def _digit_counts(mode, coeffs, ext, inner, exponents, weight, zero, pool) -> list[int]:
     """The counts of the walk `_walk` chose, on digit tuples: the orbit
     walk (`_count_orbits`) for the orbits, the full walk (`_count_part`)
-    when the exponents and 0 are every element once, and the coset walk
-    (`_count_coset`) otherwise.  A pool splits each walk into as many
+    when the exponents are every unit and 0 is visited, and the coset
+    walk (`_count_coset`) otherwise; H's walk keeps either of the first
+    two to its points of trace 0.  A pool splits each walk into as many
     index ranges as `_part_ranges` gives for its own number of points.
     """
     q, r = ext.base.q, ext.r
     coeffs = tuple(map(ext.unpack, coeffs))
     if exponents is None:
         worker, total = _count_orbits, _necklace_count(q, r)
-    elif len(exponents) + zero == ext.size:
+    elif len(exponents) == ext.size - 1 and zero:
         worker, total = _count_part, ext.size
     else:
         worker, total = _count_coset, len(exponents)
@@ -612,6 +609,8 @@ def double_sum_check(
 def counting_identity_holds(ext: ExtCtx, *, cap: int = 10**4) -> bool:
     """#{x : x^q - x = t} equals q exactly when Tr(t) = 0, else 0 (exhaustive).
 
+    This is the fact the frobsub walk rests on (see `_walk`), which no sum
+    checks again: they visit H = ker Tr instead of computing x^q - x.
     Both walks visit every digit tuple of k_r through the kernel's own
     efrob, esub and etr; the image counts hold one entry per t hit.
     """

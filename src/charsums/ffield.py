@@ -685,7 +685,7 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
     With N = q^r - 1, three array('i') tables come from one walk n -> gamma^n:
     log[v] = n for the packed value v of gamma^n (log[0] = -1); trace[n] =
     Tr_{k_r/k}(gamma^n), packed in k; and zech[n] = log(1 + gamma^n), -1
-    where 1 + gamma^n = 0, that is at n = half (gamma^half = -1).
+    where 1 + gamma^n = 0, that is at n = log[p - 1] (gamma^n = -1).
 
     F_p at r = 1, whose `log` is k's own (`FieldCtx._log`), walks
     x -> gamma * x mod p, since the slot walk (`_slot_walk`) reads `_kops`,
@@ -704,7 +704,7 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
         trace = array("i", [0]) * units
         for v, n in enumerate(islice(own.log, 1, None), 1):
             trace[n] = v
-        return SimpleNamespace(log=own.log, zech=own.zech, trace=trace, half=own.half)
+        return SimpleNamespace(log=own.log, zech=own.zech, trace=trace)
     log = array("i", [-1]) * size
     trace = array("i", [0]) * units
     zech = None
@@ -734,7 +734,7 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
         # the block walk left the packed value of 1 + gamma^n there: read its log
         for a in range(0, units, BLOCK):
             zech[a:a + BLOCK] = array("i", [log[v] for v in zech[a:a + BLOCK]])
-    return SimpleNamespace(log=log, zech=zech, trace=trace, half=log[p - 1])
+    return SimpleNamespace(log=log, zech=zech, trace=trace)
 
 
 def _digit_rows(ext: ExtCtx, c: int) -> list[list[int]]:

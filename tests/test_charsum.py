@@ -35,7 +35,7 @@ from charsums.charsum import (
 )
 from charsums.errors import FieldTooLarge, NotABasis, ZeroMu
 from charsums.invariance import artin_schreier_poly
-from charsums.polyring import Poly, compose, lift, random_poly
+from charsums.polyring import Poly, compose, divrem, lift, random_poly
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -48,14 +48,32 @@ def _ext_coeff_tuples(f, ext):
 
 
 def _full(ext, mode, coeffs, inner=None, mu=None, span=None):
-    """The full walk over an index range of k_r, the oracle of every walk;
-    with mu given, only the x with N(x) = mu."""
+    """The full walk over an index range of k_r, the oracle of every walk
+    with no plan or the pow plan; with mu given, only the x with N(x) = mu.
+    With the frobsub plan it walks H as the kernels do: its oracle is
+    `_frobsub_composed`."""
     start, stop = span or (0, ext.size)
     if mu is None:
         return _count_part((ext, mode, coeffs, inner, start, stop))
     enorm = ext._kops.enorm
     xs = islice(product(range(ext.base.q), repeat=ext.r), start, stop)
     return cs._tally(ext, mode, coeffs, inner, ((x, 1) for x in xs if enorm(x) == mu))
+
+
+def _frobsub_composed(f, ext):
+    """f(x^q - x) by polynomial composition, reduced mod x^(q^r) - x, which
+    vanishes on k_r: summed with no plan, the frobsub plan's oracle, which
+    does not rest on x^q - x being q-to-1 onto the trace-zero hyperplane."""
+    composed = compose(f, artin_schreier_poly(f.ctx, ext.base.q))
+    return divrem(composed, artin_schreier_poly(f.ctx, ext.size))[1]
+
+
+def _oracle(ext, mode, f, inner, mu=None):
+    """The full walk's counts of f with its plan; for the frobsub plan, of
+    its composed polynomial with no plan."""
+    if inner == ("frobsub",):
+        f, inner = _frobsub_composed(f, ext), None
+    return _full(ext, mode, _ext_coeff_tuples(f, ext), inner, mu)
 
 
 def _coset_walk_counts(ext, mode, coeffs, inner, exponents, weight, zero, parts):
@@ -369,11 +387,22 @@ def test_partition_structure_is_size_based():
         assert b == c
 
 
-def _pool_calls():
+def _frobsub_pool_cases():
+    """(g, char, ext, total) of the pool calls with the frobsub plan: F_13^4,
+    in S and U mode, and F_7^6, whose 19,684 necklaces the digit walks
+    split."""
     f13 = make_field(13, 1)
-    psi = AdditiveChar.canonical(f13)
-    e4 = make_ext(f13, 4)
-    g = Poly.make(f13, (1, 5, 0, 1))
+    g, e4 = Poly.make(f13, (1, 5, 0, 1)), make_ext(f13, 4)
+    return [
+        (g, AdditiveChar.canonical(f13), e4, sum_additive),
+        (Poly.make(F7, (1, 5, 0, 1)), AdditiveChar.canonical(F7), make_ext(F7, 6), sum_additive),
+        (g, MultChar.of_order(f13, 3), e4, sum_multiplicative),
+    ]
+
+
+def _pool_calls():
+    frobsub = [lambda pool, case=case: case[3](*case[:3], inner=("frobsub",), pool=pool)
+               for case in _frobsub_pool_cases()]
     # F_4 at r = 7 is the cheapest extension with a nontrivial multiplicative
     # character that is split into partitions
     f4 = make_field(2, 2, seed=0)
@@ -384,16 +413,15 @@ def _pool_calls():
     # a coefficient outside k (packed 5 has digit 1 at Y^1) keeps h7 off the
     # orbit walk
     h7 = Poly.make(e7, (2, 5, 1))
-    # walks of at least 2^14 points, which the digit walks split: 19,684
-    # necklaces of F_7^6, and 21,845 points in a fiber and in the image of
-    # x -> x^3 on F_4^8
-    e76, e8 = make_ext(F7, 6), make_ext(f4, 8)
-    g7, h8 = Poly.make(F7, (1, 5, 0, 1)), Poly.make(e8, (2, 5, 1))
+    # walks of at least 2^14 points, which the digit walks split: 21,845
+    # points in a fiber and in the image of x -> x^3 on F_4^8
+    e8 = make_ext(f4, 8)
+    h8 = Poly.make(e8, (2, 5, 1))
     # over F_2 the fiber N(x) = 1 is every unit: all exponents, without 0
     f2 = make_field(2, 1)
     e25 = make_ext(f2, 5)
     return [
-        lambda pool: sum_additive(g, psi, e4, inner=("frobsub",), pool=pool),
+        frobsub[0],
         lambda pool: sum_multiplicative(h, chi4, e7, pool=pool),
         lambda pool: fiber_sum_additive(h, psi4, e7, 2, pool=pool),
         lambda pool: fiber_sum_multiplicative(h, chi4, e7, 3, pool=pool),
@@ -405,11 +433,12 @@ def _pool_calls():
         # fibers of h7 take the coset walk
         lambda pool: fiber_sum_additive(h7, psi4, e7, 2, pool=pool),
         lambda pool: fiber_sum_multiplicative(h7, chi4, e7, 3, pool=pool),
-        lambda pool: sum_additive(g7, AdditiveChar.canonical(F7), e76, inner=("frobsub",), pool=pool),
+        frobsub[1],
         lambda pool: fiber_sum_additive(h8, psi4, e8, 2, pool=pool),
         lambda pool: sum_additive(h8, psi4, e8, inner=("pow", 3), pool=pool),
         lambda pool: fiber_sum_additive(Poly.make(f2, (1, 1, 0, 1)), AdditiveChar.canonical(f2), e25, 1,
                                         pool=pool),
+        frobsub[2],
     ]
 
 
@@ -443,9 +472,17 @@ def test_pool_and_serial_agree_bitwise_on_the_digit_walks(monkeypatch):
     orbits, third = _necklace_count(4, 7), (4**7 - 1) // 3
     assert points == [
         _necklace_count(13, 4), orbits, third, third, orbits, third, 4**7, third, third,
-        _necklace_count(7, 6), (4**8 - 1) // 3, (4**8 - 1) // 3, 2**5 - 1,
+        _necklace_count(7, 6), (4**8 - 1) // 3, (4**8 - 1) // 3, 2**5 - 1, _necklace_count(13, 4),
     ]
-    assert [len(_part_ranges(n)) for n in points] == [1] * 6 + [16, 1, 1] + [16] * 3 + [1]
+    assert [len(_part_ranges(n)) for n in points] == [1] * 6 + [16, 1, 1] + [16] * 3 + [1, 1]
+
+
+def test_frobsub_pool_calls_equal_the_composed_sums():
+    # the oracle of the frobsub calls above: f(x^q - x) by composition,
+    # summed with no plan
+    for g, char, ext, total in _frobsub_pool_cases():
+        want = total(_frobsub_composed(g, ext), char, ext)
+        assert total(g, char, ext, inner=("frobsub",)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +564,11 @@ ORBIT_CELLS = [
 
 def _orbit_and_full_counts(ext, mode, g, inner, mu, parts=3):
     coeffs = _ext_coeff_tuples(g, ext)
-    full = _full(ext, mode, coeffs, inner, mu)
+    full = _oracle(ext, mode, g, inner, mu)
     if mu is not None:
         # a fiber of f over k takes the coset walk of its exponent class, as
         # every fiber does (see `_walk`)
-        plan, exponents, weight, zero = cs._walk(ext, mode, lift(g, ext).coeffs, inner, mu)
+        plan, exponents, weight, zero = cs._walk(ext, lift(g, ext).coeffs, inner, mu)
         return _coset_walk_counts(ext, mode, coeffs, plan, exponents, weight, zero, parts), full
     spans = _necklace_spans(ext.base.q, ext.r, parts)
     orbit = [sum(col) for col in zip(*(
@@ -561,7 +598,7 @@ def test_orbit_walk_equals_full_walk_mod_p_flavour():
 
 
 def _routing_cases():
-    """(f, ext, mu, pow exponent, walk) for each route, the same in both
+    """(f, ext, mu, inner plan, walk) for each route, the same in both
     kernels."""
     e1, e2 = make_ext(F7, 1), make_ext(F7, 2)
     g = Poly.make(F7, (1, 2, 3))
@@ -575,13 +612,19 @@ def _routing_cases():
         (g, e2, 3, None, "fiber"),
         (g, e1, 3, None, "fiber"),  # r = 1
         # the pow plan, n = 3: the image walk unless the orbit walk applies
-        (h, e2, None, 3, "image"),
-        (g, e1, None, 3, "image"),  # r = 1
-        (g, e2, None, 3, "orbit"),
+        (h, e2, None, ("pow", 3), "image"),
+        (g, e1, None, ("pow", 3), "image"),  # r = 1
+        (g, e2, None, ("pow", 3), "orbit"),
+        # the frobsub plan: its image H = ker Tr, f over k or not
+        (g, e2, None, ("frobsub",), "hyperplane"),
+        (h, e2, None, ("frobsub",), "hyperplane"),
+        (g, e1, None, ("frobsub",), "hyperplane"),  # r = 1: H = {0}
     ]
 
 
 def _digit_walk(name, task):
+    if task[3] == ("frobsub",):
+        return "hyperplane"  # the orbit or the full walk, kept to H
     if name == "_count_coset":
         weight = task[5]  # d for the pow image, 1 for a fiber
         return "image" if weight > 1 else "fiber"
@@ -595,6 +638,11 @@ def _log_walk_name(ext, inner, points, zero):
         i0 = points[0][0]
         assert points == [(i, 1) for i in range(i0, units, q - 1)]
         return "fiber"
+    if zero == q:
+        gamma = ext.generator_r
+        assert inner is None
+        assert points == [(i, q) for i in range(units) if ext.trace_to_base(ext.pow_(gamma, i)) == 0]
+        return "hyperplane"
     if inner is None and points[0][1] > 1:
         d = points[0][1]
         assert points == [(i, d) for i in range(0, units, d)]
@@ -626,13 +674,12 @@ def test_enumerate_takes_the_orbit_walk_exactly_for_f_over_k(monkeypatch):
     for log_kernel in (True, False):
         if not log_kernel:
             monkeypatch.setattr(cs, "DLOG_CAP", 1)
-        for f, ext, mu, n, walk in _routing_cases():
+        for f, ext, mu, inner, walk in _routing_cases():
             if mu is not None:
                 seen.clear()
                 fiber_sum_additive(f, psi, ext, mu)
                 assert seen == [walk] if log_kernel else set(seen) == {walk}
                 continue
-            inner = ("pow", n) if n else None
             for total, char in ((sum_additive, psi), (sum_multiplicative, chi)):
                 seen.clear()
                 total(f, char, ext, inner=inner)
@@ -672,10 +719,20 @@ def _log_polys(base, ext, seed):
 
 def _log_counts(ext, mode, f, inner=None, mu=None):
     coeffs = lift(f, ext).coeffs or (0,)
-    inner, exponents, weight, zero = cs._walk(ext, mode, coeffs, inner, mu)
+    inner, exponents, weight, zero = cs._walk(ext, coeffs, inner, mu)
+    if inner == ("frobsub",):
+        # the units of H: the exponents of trace 0
+        inner, exponents = None, [i for i, t in enumerate(ext._logs.trace) if t == 0]
     points = zip(*_cyclotomic_cosets(ext.base.q, ext.r)) if exponents is None else (
         (i, weight) for i in exponents)
     return cs._log_tally(ext, mode, coeffs, inner, points, zero)
+
+
+def _digit_side_counts(ext, mode, f, inner):
+    """The digit walks' counts of the walk `_walk` picks, as a field above
+    ffield.DLOG_CAP takes them."""
+    coeffs = lift(f, ext).coeffs or (0,)
+    return cs._digit_counts(mode, coeffs, ext, *cs._walk(ext, coeffs, inner, None), None)
 
 
 def _full_counts(ext, mode, f, inner=None, mu=None, span=None):
@@ -688,7 +745,32 @@ def test_log_walk_equals_full_walk(p, s, r, mode, inner):
     base = make_field(p, s, seed=0)
     ext = make_ext(base, r, seed=0)
     for f in _log_polys(base, ext, p * 100 + r):
-        assert _log_counts(ext, mode, f, inner) == _full_counts(ext, mode, f, inner), f
+        want = _oracle(ext, mode, f, inner)
+        assert _log_counts(ext, mode, f, inner) == want, f
+        if inner == ("frobsub",):
+            # the digit walks keep the orbit or the full walk to H
+            assert _digit_side_counts(ext, mode, f, inner) == want, f
+
+
+@pytest.mark.parametrize("p, s, r", LOG_FIELDS)
+def test_log_kernel_lists_the_units_of_the_trace_zero_hyperplane(p, s, r, monkeypatch):
+    ext = make_ext(make_field(p, s, seed=0), r, seed=0)
+    q, gamma = ext.base.q, ext.generator_r
+    seen = []
+    tally = cs._log_tally
+
+    def log_tally(ext, mode, coeffs, inner, points, zero):
+        points = list(points)
+        seen.append((inner, points, zero))
+        return tally(ext, mode, coeffs, inner, points, zero)
+
+    monkeypatch.setattr(cs, "_log_tally", log_tally)
+    sum_additive(Poly.make(ext.base, (1, 1)), AdditiveChar.canonical(ext.base), ext, inner=("frobsub",))
+    [(inner, points, zero)] = seen
+    exponents = [i for i, _ in points]
+    assert inner is None and zero == q and {w for _, w in points} <= {q}
+    assert len(exponents) == q ** (r - 1) - 1 and exponents == sorted(set(exponents))
+    assert all(ext.trace_to_base(ext.pow_(gamma, i)) == 0 for i in exponents)
 
 
 @pytest.mark.parametrize("p, s, r", LOG_FIELDS)
@@ -738,7 +820,7 @@ COSET_FIELDS = [(13, 1, 3), (3, 2, 3), (7, 1, 4), (1031, 1, 1), (2, 11, 1)]
 
 
 def _coset_counts(ext, mode, coeffs, mu, parts):
-    inner, exponents, weight, zero = cs._walk(ext, mode, (), None, mu)
+    inner, exponents, weight, zero = cs._walk(ext, (), None, mu)
     assert (len(exponents), weight, zero) == ((ext.size - 1) // (ext.base.q - 1), 1, 0)
     return _coset_walk_counts(ext, mode, coeffs, inner, exponents, weight, zero, parts)
 
@@ -800,7 +882,7 @@ def test_pow_image_walk_equals_full_walk(p, s, r, mode):
     assert [math.gcd(n, units) > 1 for n in ns] == [False, True, True]
     for n in ns:
         full = _full(ext, mode, coeffs, ("pow", n))
-        inner, exponents, weight, zero = cs._walk(ext, mode, lift(g, ext).coeffs, ("pow", n), None)
+        inner, exponents, weight, zero = cs._walk(ext, lift(g, ext).coeffs, ("pow", n), None)
         assert inner is None and len(exponents) * weight == units and zero == 1
         for parts in (1, 3, 16):
             got = _coset_walk_counts(ext, mode, coeffs, None, exponents, weight, zero, parts)
@@ -843,6 +925,23 @@ def test_inner_plan_is_checked_before_any_table_or_walk(inner, monkeypatch):
     with pytest.raises(ValueError, match="unknown inner plan"):
         sum_multiplicative(g, MultChar.quadratic(F13), ext, inner=inner)
     assert "_logs" not in ext.__dict__
+
+
+@pytest.mark.parametrize("inner", [("frobsub",), ("pow", 3)])
+@pytest.mark.parametrize("mode, mu", [("S", 2), ("U", 2), ("D", None)])
+def test_a_plan_on_a_fiber_or_in_mode_d_is_rejected_before_any_work(mode, mu, inner, monkeypatch):
+    # no public function passes either combination: a fiber walk and mode
+    # D apply no plan, so the plan would be dropped without a word
+    def no_work(*args):
+        raise AssertionError("lifted f, built a table or took a walk")
+
+    for name in ("lift", "_walk", "_count_part", "_count_orbits", "_count_coset", "_log_tally"):
+        monkeypatch.setattr(cs, name, no_work)
+    ext = make_ext(F13, 2)
+    char = MultChar.quadratic(F13) if mode == "U" else AdditiveChar.canonical(F13)
+    with pytest.raises(ValueError, match="not for a norm fiber or mode D"):
+        cs._enumerate(mode, Poly.make(F13, (1, 2, 3)), char, ext, inner=inner, mu=mu, cap=cs.DOUBLE_CAP,
+                      pool=None)
 
 
 def test_fiber_start_is_checked_against_the_arithmetic_of_k(monkeypatch):

@@ -481,10 +481,12 @@ def test_r1_tables_of_a_composite_k_are_k_own_and_equal_the_slot_walk(ps):
     # k at r = 1 shares log and zech with k's own tables and inverts log
     # for its trace; the slot walk over k at r = 1 is the oracle
     k = make_field(*ps)
-    tabs, own = make_ext(k, 1)._logs, k._ext._logs
-    assert tabs.log is own.log and tabs.zech is own.zech and tabs.half == own.half
+    ext = make_ext(k, 1)
+    tabs, own = ext._logs, k._ext._logs
+    assert tabs.log is own.log and tabs.zech is own.zech
+    assert ext.pow_(ext.generator_r, tabs.log[k.p - 1]) == ext.neg(1)
     log, trace = array("i", [-1]) * k.q, array("i", [0]) * (k.q - 1)
-    assert _slot_walk(make_ext(k, 1), log, trace) == 1
+    assert _slot_walk(ext, log, trace) == 1
     assert log == tabs.log and trace == tabs.trace
 
 
@@ -508,7 +510,7 @@ def test_block_walk_tables_equal_the_slot_walk(pr):
     assert ext.size >= ff.BLOCK_FLOOR
     tabs = ff._log_tables(ext)
     assert (tabs.log, tabs.trace, tabs.zech) == _slot_walk_tables(ext)
-    assert tabs.half == tabs.log[ext.p - 1]
+    assert ext.pow_(ext.generator_r, tabs.log[ext.p - 1]) == ext.neg(1)
 
 
 @pytest.mark.parametrize("pr", [(7, 1, 4), (5, 1, 3)])
@@ -575,7 +577,7 @@ def test_log_tables_walk_the_unit_group(p, s, r):
         assert tabs.zech[n] == (tabs.log[y] if y else -1)
         x = ext.mul(x, ext.generator_r)
     assert x == 1  # gamma^N returns to 1
-    assert ext.pow_(ext.generator_r, tabs.half) == ext.neg(1)
+    assert ext.pow_(ext.generator_r, tabs.log[ext.p - 1]) == ext.neg(1)
 
 
 def test_log_tables_are_capped():
