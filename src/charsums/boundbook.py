@@ -487,10 +487,14 @@ def report_translation_multiplicative(
     p, q = ctx.p, ctx.q
     m = chi.order
     hyps = [
+        Hypothesis("d >= 1", d >= 1, f"d = {d}"),
         Hypothesis("chi nontrivial (m > 1)", m > 1, f"m = {m}"),
         Hypothesis("d prime to p", d % p != 0, f"d = {d}, p = {p}"),
         Hypothesis("g square-free", not g.is_zero and is_squarefree(g), ""),
     ]
+    if d < 1:
+        # a constant g has no sequence g_r, and so no gate to evaluate
+        return _finish("TransMult", 0.0, None, hyps)
     bound = float(bound_constant_multiplicative(d, r)) * q ** ((r + 1) / 2)
     chi_d_trivial = d % chi.order == 0
     exceptional = r == d and chi_d_trivial and g.coeff(d - 1) == 0

@@ -513,10 +513,10 @@ def _run_cell(config, base, ext, psi, d, e, trial, pool):
 
     if kind == "TransAdd":
         rep = report_translation_additive(g, psi, r)
-        weil = (g.degree - 1) * q ** (r / 2 + 1)
+        weil = max(g.degree - 1, 0) * q ** (r / 2 + 1)
     elif kind == "TransMult":
         rep = report_translation_multiplicative(g, char, psi, r)
-        weil = (q * g.degree - 1) * q ** (r / 2)
+        weil = max(q * g.degree - 1, 0) * q ** (r / 2)
     elif hom:
         if additive:
             rep = report_homothety_additive(g, e, ext)

@@ -293,6 +293,8 @@ class FieldCtx:
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e
+        if self.s == 1:
+            return pow(a, e, self.p)
         return power(self.mul, 1, a, e)
 
     def inv(self, a: int) -> int:

@@ -4,8 +4,9 @@ Coefficients are stored ascending as packed field ints.  `Poly` trims
 trailing zeros on construction, so degree == len(coeffs) - 1 however a
 polynomial was built, and the zero polynomial has an empty coefficient
 tuple (degree -1).  Degrees stay in the thousands at most (the resultant
-sequence), so all algorithms are the quadratic schoolbook ones; products
-and divisions run on the coefficient field's row operation `axpy`.
+sequence), so all algorithms are the quadratic schoolbook ones; sums,
+products, divisions and linear substitutions run on the coefficient
+field's row operation `axpy`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     FieldTooLarge,
     ZeroPoly,
 )
-from .ffield import ExtCtx, FieldCtx, FqElem, elem, factorize, power
+from .ffield import ExtCtx, FieldCtx, FqElem, elem, power
 
 ROOT_ENUM_CAP = 10**6
 
@@ -37,11 +38,12 @@ class Poly:
 
     def __post_init__(self):
         c = self.coeffs
-        n = len(c)
+        if not c or c[-1]:
+            return
+        n = len(c) - 1
         while n and not c[n - 1]:
             n -= 1
-        if n < len(c):
-            object.__setattr__(self, "coeffs", c[:n])
+        object.__setattr__(self, "coeffs", c[:n])
 
     @staticmethod
     def make(ctx, coeffs) -> "Poly":
@@ -77,20 +79,24 @@ class Poly:
         return self.coeffs[-1]
 
     def _check(self, other: "Poly"):
-        if self.ctx != other.ctx:
+        # contexts are interned by make_field/make_ext: identity settles
+        # almost every call before the field-by-field compare
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise CtxMismatch("polynomials over different fields")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _axpy(self, u: int, other: "Poly") -> "Poly":
+        # self + u other: one row operation as long as other (self padded
+        # with zeros), then the rest of self
         self._check(other)
-        ops = self.ctx
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ctx, tuple([ops.add(self.coeff(i), other.coeff(i)) for i in range(n)]))
+        a, b = self.coeffs, other.coeffs
+        ys = a + (0,) * (len(b) - len(a))
+        return Poly(self.ctx, tuple(self.ctx.axpy(u, b, ys)) + a[len(b) :])
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._axpy(1, other)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        ops = self.ctx
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ctx, tuple([ops.sub(self.coeff(i), other.coeff(i)) for i in range(n)]))
+        return self._axpy(self.ctx.neg(1), other)
 
     def __neg__(self) -> "Poly":
         ops = self.ctx
@@ -156,22 +162,25 @@ def divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     f._check(g)
     if g.is_zero:
         raise DivByZeroPoly("division by the zero polynomial")
-    ops = f.ctx
+    ops, b = f.ctx, g.coeffs
+    dg = len(b) - 1
+    top = len(f.coeffs) - 1 - dg  # degree of the quotient
+    if top < 0:
+        return Poly(ops, ()), f
     rem = list(f.coeffs)
-    dg = g.degree
-    if f.degree < dg:
-        return Poly(f.ctx, ()), f
     # a monic divisor needs no inversion and no scaling
-    inv_lead = None if g.lead == 1 else ops.inv(g.lead)
-    quot = [0] * (f.degree - dg + 1)
-    for i in range(f.degree - dg, -1, -1):
+    inv_lead = None if b[-1] == 1 else ops.inv(b[-1])
+    low = b[:-1]
+    quot = [0] * (top + 1)
+    for i in range(top, -1, -1):
         c = rem[i + dg]
         if c:
             if inv_lead is not None:
                 c = ops.mul(c, inv_lead)
             quot[i] = c
-            rem[i : i + dg + 1] = ops.axpy(ops.neg(c), g.coeffs, rem[i : i + dg + 1])
-    return Poly(f.ctx, tuple(quot)), Poly(f.ctx, tuple(rem))
+            # rem[i + dg] cancels and is never read again
+            rem[i : i + dg] = ops.axpy(ops.neg(c), low, rem[i : i + dg])
+    return Poly(ops, tuple(quot)), Poly(ops, tuple(rem[:dg]))
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
@@ -195,12 +204,28 @@ def derivative(f: Poly) -> Poly:
 
 
 def compose(f: Poly, g: Poly) -> Poly:
-    """f(g(x)) by Horner over the polynomial ring."""
+    """f(g(x)) by Horner: on coefficient rows when g = a + b x is linear
+    (`_substitute`), over the polynomial ring otherwise."""
     f._check(g)
+    if g.degree == 1:
+        return _substitute(f, *g.coeffs)
     acc = Poly(f.ctx, ())
     for c in reversed(f.coeffs):
         acc = acc * g + Poly(f.ctx, (c,))
     return acc
+
+
+def _substitute(f: Poly, a: int, b: int) -> Poly:
+    """f(a + b x) for b != 0 by Horner on coefficient lists: each step is
+    acc <- a acc + b x acc + c, two row operations over k."""
+    ops = f.ctx
+    acc: list[int] = []
+    for c in reversed(f.coeffs):
+        row = [c] + [0] * len(acc)
+        if a:
+            row = ops.axpy(a, acc + [0], row)
+        acc = ops.axpy(b, [0] + acc, row)
+    return Poly(ops, tuple(acc))
 
 
 def _powmod(a: Poly, e: int, m: Poly) -> Poly:
@@ -209,20 +234,22 @@ def _powmod(a: Poly, e: int, m: Poly) -> Poly:
 
 
 def is_irreducible(m: Poly) -> bool:
-    """Rabin's test over k = m.ctx with q elements: m of degree n >= 1 is
-    irreducible iff x^(q^n) = x mod m and gcd(x^(q^(n/l)) - x, m) = 1 for
-    every prime l dividing n."""
+    """Distinct-degree test (Ben-Or 1981) over k = m.ctx with q elements:
+    m of degree n >= 1 is irreducible iff gcd(x^(q^i) - x, m) = 1 for every
+    i <= n/2, since x^(q^i) - x is the product of the monic irreducibles of
+    degree dividing i.  It stops at the first i that fails, so most
+    reducible m cost one or two powers."""
     n = m.degree
     if n < 1:
         return False
     q = m.ctx.size
     x = divrem(Poly.x(m.ctx), m)[1]  # x mod m, a constant in degree 1
-    frob = [x]  # frob[i] = x^(q^i) mod m
-    for _ in range(n):
-        frob.append(_powmod(frob[-1], q, m))
-    if frob[n] != x:
-        return False
-    return all(gcd(m, frob[n // ell] - x).degree == 0 for ell in factorize(n))
+    h = x  # x^(q^i) mod m
+    for _ in range(n // 2):
+        h = _powmod(h, q, m)
+        if gcd(m, h - x).degree != 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +303,8 @@ def discriminant(g: Poly) -> FqElem:
 
 
 def shift(g: Poly, c) -> Poly:
-    """g(x + c) by iterated synthetic translation (exact binomial expansion)."""
-    c = elem(g.ctx, c).val
-    if c == 0 or g.is_zero:
-        return g
-    ops = g.ctx
-    out = list(g.coeffs)
-    n = len(out)
-    # synthetic Taylor shift: repeatedly add c times the next-higher coefficient
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] = ops.add(out[j], ops.mul(c, out[j + 1]))
-    return Poly(g.ctx, tuple(out))
+    """g(x + c): `compose` with the inner polynomial c + x."""
+    return _substitute(g, elem(g.ctx, c).val, 1)
 
 
 class Parity(Enum):

@@ -526,6 +526,23 @@ def test_translation_rows_when_p_divides_d(tmp_path, capsys, config, kind):
     assert row["kind"] == kind and row["applicable"] == "0"
     assert "Traceback" not in captured.err
 
+
+@pytest.mark.parametrize("kind", ["TransAdd", "TransMult"])
+def test_translation_rows_of_a_constant_g(tmp_path, capsys, kind):
+    # d = 0: no bound constant, no gate and no Weil bound apply
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"version": 1, "kind": kind, "p": 7, "r": [1, 2, 4], "seed": 0,
+                                "char": {"m": 2}, "poly": {"source": "explicit", "coeffs": "3"}}))
+    assert main(["run", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    header, *lines = captured.out.splitlines()
+    rows = [dict(zip(header.split(","), fields)) for fields in csv.reader(lines)]
+    assert [row["r"] for row in rows] == ["1", "2", "4"]
+    for row in rows:
+        assert row["kind"] == kind and row["d"] == "0" and row["applicable"] == "0"
+        assert float(row["weil"]) >= 0
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,6 +1,7 @@
 """Polynomial ring: division, resultants, discriminants, shifts, roots."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -38,6 +39,7 @@ from charsums.polyring import (
     split_power_of_x,
     squarefree_decomposition,
 )
+from charsums.polyring import _powmod
 
 F5 = make_field(5, 1)
 F7 = make_field(7, 1)
@@ -389,6 +391,93 @@ def test_is_irreducible_counts_match_gauss(build, max_n):
             is_irreducible(Poly(ctx, low + (1,))) for low in product(range(q), repeat=n)
         )
         assert count == _gauss_count(q, n), n
+
+
+def rabin_is_irreducible(m: Poly) -> bool:
+    """Rabin's test (1980), the oracle of the distinct-degree test: m of
+    degree n >= 1 is irreducible iff x^(q^n) = x mod m and
+    gcd(x^(q^(n/l)) - x, m) = 1 for every prime l dividing n."""
+    n = m.degree
+    if n < 1:
+        return False
+    q = m.ctx.size
+    x = divrem(Poly.x(m.ctx), m)[1]
+    frob = [x]  # frob[i] = x^(q^i) mod m
+    for _ in range(n):
+        frob.append(_powmod(frob[-1], q, m))
+    if frob[n] != x:
+        return False
+    return all(gcd(m, frob[n // ell] - x).degree == 0 for ell in factorize(n))
+
+
+@pytest.mark.parametrize(
+    "build, max_n",
+    [
+        (lambda: make_field(2, 1), 6),
+        (lambda: make_field(3, 1), 4),
+        (lambda: make_field(2, 2), 3),
+        (lambda: make_field(5, 1), 3),
+        (lambda: make_field(3, 2), 3),
+    ],
+    ids=["F2", "F3", "F4", "F5", "F9"],
+)
+def test_is_irreducible_agrees_with_rabin_on_every_monic(build, max_n):
+    ctx = build()
+    for n in range(1, max_n + 1):
+        for low in product(range(ctx.size), repeat=n):
+            m = Poly(ctx, low + (1,))
+            assert is_irreducible(m) == rabin_is_irreducible(m), m
+
+
+@pytest.mark.parametrize(
+    "build, max_n",
+    [(lambda: make_field(13, 1), 6), (lambda: make_ext(make_field(3, 2), 2), 4)],
+    ids=["F13", "F81-over-F9"],
+)
+def test_is_irreducible_agrees_with_rabin_on_random(build, max_n):
+    ctx = build()
+    rng = random.Random(ctx.size)
+    verdicts = Counter()
+    for _ in range(500):
+        m = random_poly(ctx, rng.randrange(1, max_n + 1), rng, monic=rng.random() < 0.5)
+        verdict = is_irreducible(m)
+        assert verdict == rabin_is_irreducible(m), m
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def horner_compose(f: Poly, g: Poly) -> Poly:
+    """f(g(x)) by Horner over the polynomial ring: the oracle of the
+    linear substitution."""
+    acc = Poly.zero(f.ctx)
+    for c in reversed(f.coeffs):
+        acc = acc * g + Poly(f.ctx, (c,))
+    return acc
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: F13,
+        lambda: F9,
+        lambda: make_field(2, 3),
+        lambda: make_ext(F7, 3),
+        lambda: make_ext(F9, 2),
+    ],
+    ids=["F13", "F9", "F8", "F343-over-F7", "F81-over-F9"],
+)
+def test_linear_compose_agrees_with_horner_over_the_ring(build):
+    ctx = build()
+    rng = random.Random(ctx.size)
+    minus_one = ctx.neg(1)
+    for trial in range(60):
+        # zero f, constant f, then random degrees up to 7
+        f = Poly.zero(ctx) if trial == 0 else random_poly(ctx, min(trial - 1, rng.randrange(8)), rng)
+        a = rng.randrange(ctx.size)
+        b = minus_one if trial % 3 == 0 else rng.randrange(1, ctx.size)
+        g = Poly(ctx, (a, b))
+        assert compose(f, g) == horner_compose(f, g), (f, a, b)
+        assert shift(f, a) == compose(f, Poly(ctx, (a, 1)))
 
 
 def test_is_irreducible_degree_one_and_below():
