@@ -540,7 +540,10 @@ def report_translation_multiplicative(
 
 
 def homothety_fiber_bound(d: int, q: int, r: int) -> float:
-    """Per-fiber bound r d^(r-1) q^((r-1)/2) for norm-fiber character sums."""
+    """Per-fiber bound r d^(r-1) q^((r-1)/2) for norm-fiber character sums;
+    0 for a constant g (d < 1), which has no bound, as in the Trans reports."""
+    if d < 1:
+        return 0.0
     return r * d ** (r - 1) * q ** ((r - 1) / 2)
 
 

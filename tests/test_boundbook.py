@@ -571,6 +571,9 @@ def test_homothety_bounds():
     assert homothety_fiber_bound(2, 13, 2) == pytest.approx(4 * math.sqrt(13))
     assert homothety_bound(2, 13, 2) == pytest.approx(2 * 2 * 12 * math.sqrt(13))
     assert homothety_fiber_bound(1, 13, 1) == 1.0
+    # a constant g claims no bound at any r (0**0 would read 1 at r = 1)
+    for r in (1, 2, 3):
+        assert homothety_fiber_bound(0, 7, r) == homothety_bound(0, 7, r) == 0.0
 
 
 def test_report_json_roundtrip():
