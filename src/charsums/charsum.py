@@ -9,7 +9,8 @@ logs of k; for the frobsub plan x -> x^q - x, which is q-to-1 from k_r
 onto the trace-zero hyperplane H (additive Hilbert 90), its image, each
 point of H and 0 of weight q, so that nothing computes x^q - x; for f
 over k at r > 1, one point per Frobenius orbit, weighted by the orbit's
-size, since the summand is constant on orbits; for the pow plan
+size, since the summand is constant on orbits, and under the frobsub
+plan one per orbit in H, since Tr is constant on orbits; for the pow plan
 x -> x^n, which is d-to-1 on k_r^*, d = gcd(n, q^r - 1), its image, the
 multiples of d, each weighted d; otherwise every exponent; and 0 where
 it belongs.
@@ -18,9 +19,10 @@ On a field with q^r <= ffield.DLOG_CAP the log kernel counts them: the
 Zech-logarithm tables `ExtCtx._logs` turn a product into an addition of
 exponents mod q^r - 1 and an addition into one table lookup, so f costs
 one lookup per nonzero coefficient and the trace or norm index one
-more; the orbits are the cyclotomic cosets, and the units of H the
-exponents of trace 0.  It runs in the calling process, since on two
-cores a partition pool cost more than it saved.
+more; the orbits are the cyclotomic cosets, the units of H the
+exponents of trace 0, and the orbits in H are listed once per field
+(`ExtCtx._h_orbits`) for every later sum.  It runs in the calling
+process, since on two cores a partition pool cost more than it saved.
 
 Larger fields take the digit walks, which compute on digit tuples
 through `ExtCtx._kops` and are the log kernel's test oracles: the orbit
@@ -346,11 +348,27 @@ def _cyclotomic_cosets(q: int, r: int) -> tuple[array, array]:
     of Z/N, N = q^r - 1, in increasing order of leader.
 
     They are the Frobenius orbits of k_r^* = <gamma> on exponents, and
-    depend on q and r alone.  Multiplying by q rotates the r base-q
-    digits of i, most significant first, so the leaders are the necklaces
-    (`_necklaces`, in the same order) and a coset's size is its period;
-    the last necklace, q^r - 1 = 0 mod N, repeats the first.
+    depend on q and r alone.  At r = 2 the cosets are {a + b q, b + a q}
+    for digits a, b < q: the leaders are a + b q with b <= a, one range
+    per b, each of size 1 at a = b and 2 otherwise, and a = b = q - 1 is
+    N = 0.  Other r take the necklaces (`_necklace_cosets`).
     """
+    if r != 2:
+        return _necklace_cosets(q, r)
+    leaders, sizes = array("i"), array("B")
+    for b in range(q):
+        leaders.extend(range(b * (q + 1), b * q + q))
+        sizes.append(1)
+        sizes.extend(repeat(2, q - 1 - b))
+    del leaders[-1], sizes[-1]
+    return leaders, sizes
+
+
+def _necklace_cosets(q: int, r: int) -> tuple[array, array]:
+    """`_cyclotomic_cosets` by necklaces: multiplying by q rotates the r
+    base-q digits of i, most significant first, so the leaders are the
+    necklaces (`_necklaces`, in the same order) and a coset's size is its
+    period; the last necklace, q^r - 1 = 0 mod N, repeats the first."""
     powers = [q**j for j in reversed(range(r))]
     leaders, sizes = array("i"), array("B")
     for word, period in _necklaces(q, r):
@@ -371,12 +389,14 @@ def _walk(ext, coeffs, inner, mu):
     N(gamma)^i and N(gamma) generates k^*, with i0 from k's logs; the
     ("frobsub",) plan takes its image H = ker Tr, onto which x^q - x is
     q-to-1, each point of H and 0 of weight q: the plan comes back as
-    H's mark with the exponents of the walk f alone would take, which
-    the digit walks keep to H, while the log kernel lists H's units
-    itself; for f over k (coefficients packed below q) at r > 1, the
-    Frobenius orbits, on which the summand is constant; the ("pow", n)
-    plan takes its image, the multiples of d = gcd(n, N), each of weight
-    d, under the identity plan; anything else takes every exponent.
+    H's mark with the exponents of the walk f alone would take, kept to
+    H by both kernels (`_log_points`, `_digit_counts`): f over k at r > 1
+    visits one point per Frobenius orbit of H, of weight q times the
+    orbit's size, and any other f every point of H; for f over k
+    (coefficients packed below q) at r > 1, the Frobenius orbits, on
+    which the summand is constant; the ("pow", n) plan takes its image,
+    the multiples of d = gcd(n, N), each of weight d, under the identity
+    plan; anything else takes every exponent.
     Every walk but the fiber also visits 0.  Only S and U sums off a
     fiber come with a plan (`_enumerate` checks).
     """
@@ -450,6 +470,27 @@ def _log_tally(ext, mode, coeffs, inner, points, zero) -> list[int]:
     return counts
 
 
+def _log_points(ext, inner, exponents, weight):
+    """The log kernel's (plan, points (i, w)) for the walk `_walk` chose.
+
+    H's mark with the orbits takes the Frobenius orbits of H's units,
+    which `ExtCtx._h_orbits` lists once per field for every later sum,
+    each leader of weight `weight` times its size, and with every unit
+    H's units; either spends the plan.  The orbits of k_r^* are the
+    cyclotomic cosets.
+    """
+    if inner == ("frobsub",):
+        if exponents is None:
+            leaders, sizes = ext._h_orbits
+            return None, zip(leaders, map(operator.mul, sizes, repeat(weight)))
+        # H's units are the exponents of trace 0, listed in one pass at C level
+        units = compress(range(ext.size - 1), map(operator.not_, ext._logs.trace))
+        return None, zip(units, repeat(weight))
+    if exponents is None:
+        return inner, zip(*_cyclotomic_cosets(ext.base.q, ext.r))
+    return inner, zip(exponents, repeat(weight))
+
+
 def _csum(terms) -> complex:
     """Correctly rounded sum of complex terms, whatever their order."""
     terms = list(terms)
@@ -459,9 +500,9 @@ def _csum(terms) -> complex:
 def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex:
     """Check, count every term exactly, then evaluate sum_v c_v * char(v).
 
-    `_walk` picks the points; the log kernel (`_log_tally`) counts them
-    when q^r <= DLOG_CAP, and the digit walks (`_digit_counts`) above it;
-    both give the same exact histogram.
+    `_walk` picks the points; the log kernel (`_log_tally` on
+    `_log_points`) counts them when q^r <= DLOG_CAP, and the digit walks
+    (`_digit_counts`) above it; both give the same exact histogram.
     """
     if not _plan_ok(inner):
         raise ValueError(f"unknown inner plan {inner!r}: use None, ('frobsub',) or ('pow', n), int n >= 1")
@@ -481,14 +522,8 @@ def _enumerate(mode, f, char, ext, *, inner=None, mu=None, cap, pool) -> complex
     inner, exponents, weight, zero = _walk(ext, coeffs, inner, mu)
     if n > DLOG_CAP:
         counts = _digit_counts(mode, coeffs, ext, inner, exponents, weight, zero, pool)
-    elif inner == ("frobsub",):
-        # H's units are the exponents of trace 0, listed in one pass at C level
-        h_exponents = compress(range(n - 1), map(operator.not_, ext._logs.trace))
-        counts = _log_tally(ext, mode, coeffs, None, zip(h_exponents, repeat(weight)), zero)
-    elif exponents is None:
-        counts = _log_tally(ext, mode, coeffs, inner, zip(*_cyclotomic_cosets(q, ext.r)), zero)
     else:
-        counts = _log_tally(ext, mode, coeffs, inner, zip(exponents, repeat(weight)), zero)
+        counts = _log_tally(ext, mode, coeffs, *_log_points(ext, inner, exponents, weight), zero)
     expected = terms if mu is None else (n - 1) // (q - 1)
     if sum(counts) != expected:
         raise RuntimeError(f"counted {sum(counts)} terms, expected {expected}")

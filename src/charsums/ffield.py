@@ -19,7 +19,9 @@ addition; above it they are computed by that extension on lookup.  An
 extension with q^r <= DLOG_CAP has Zech-logarithm tables over its
 generator (`ExtCtx._logs`: log, 1 + gamma^n and trace, as arrays),
 built in one walk on first use (a block of exponents at a time on a
-large field), on which `charsum`'s log kernel runs.
+large field), on which `charsum`'s log kernel runs; its frobsub sums
+read the Frobenius orbits of ker Tr on exponents (`ExtCtx._h_orbits`),
+listed from the trace table once per extension.
 They are the only discrete-log tables: k's logs (`FieldCtx._log`) are
 the `log` array of F_p at r = 1 or of F_{p^s} as its extension of F_p.
 `make_field` and `make_ext` share one seeded search for modulus and
@@ -37,7 +39,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, compress, cycle, islice, repeat
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -398,6 +400,10 @@ class ExtCtx:
         return _log_tables(self)
 
     @cached_property
+    def _h_orbits(self):
+        return _hyperplane_orbits(self)
+
+    @cached_property
     def _norm_generator(self) -> int:
         # N(generator_r), which generates k^*: the norm fibers start from its log
         return self._kops.enorm(self.unpack(self.generator_r))
@@ -737,6 +743,49 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
         for a in range(0, units, BLOCK):
             zech[a:a + BLOCK] = array("i", [log[v] for v in zech[a:a + BLOCK]])
     return SimpleNamespace(log=log, zech=zech, trace=trace)
+
+
+def _hyperplane_orbits(ext: ExtCtx) -> tuple[array, array]:
+    """The Frobenius orbits of the units of H = ker Tr on exponents, the
+    classes {i q^j mod N}, N = q^r - 1, of the i with trace[i] = 0, as
+    their leaders (least elements) in increasing order and their sizes.
+
+    Tr is Frobenius-invariant, so an orbit lies in H or outside it, and
+    multiplying i by q rotates its r base-q digits: a leader's least
+    digit leads.  A candidate is a leader when it is at most each
+    rotation q^j i mod N, j < r, which C-level filters check.
+    - Least digit 0: i < q^(r-1), in one pass over those trace entries.
+      Its last digit is nonzero too (but for i = 0), or the rotation
+      that brings it to the front would be less.
+    - Least digit t + 1: the leaders of least digit t plus M = N/(q - 1)
+      = (1...1) in base q, kept where adding 1 to every digit carries
+      nowhere.  gamma^M lies in k^*, and Tr(c x) = c Tr(x) for c in k,
+      so H is closed under adding M to exponents.
+    A leader's size is the least j dividing r with q^j i = i mod N.
+    """
+    q, r, units = ext.base.q, ext.r, ext.size - 1
+    top, trace = q ** (r - 1), ext._logs.trace
+
+    def rotations(xs, j):
+        return map(operator.mod, map(operator.mul, xs, repeat(q**j)), repeat(units))
+
+    def least(xs, turns):
+        for j in turns:
+            xs = list(compress(xs, map(operator.le, xs, rotations(xs, j))))
+        return xs
+
+    heads = compress(range(top), map(operator.lt, trace[:top], cycle([0] + [1] * (q - 1))))
+    block = [0] * (not trace[0]) + least(list(heads), range(r - 2, 0, -1))
+    leaders = array("i", block)
+    for _ in range(q - 2):
+        block = least(list(map(operator.add, block, repeat(units // (q - 1)))), range(r - 1, 0, -1))
+        leaders.fromlist(block)
+    sizes = array("B", [r]) * len(leaders)
+    # the largest divisor first, so that the least one that fixes i stays
+    for j in reversed([j for j in range(1, r) if r % j == 0]):
+        for k in compress(range(len(leaders)), map(operator.eq, leaders, rotations(leaders, j))):
+            sizes[k] = j
+    return leaders, sizes
 
 
 def _digit_rows(ext: ExtCtx, c: int) -> list[list[int]]:

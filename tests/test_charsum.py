@@ -546,6 +546,12 @@ def test_cyclotomic_cosets_are_the_necklaces(q, r):
     assert (list(leaders), list(sizes)) == _marked_cosets(q, r)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 31, 1031])
+def test_cyclotomic_cosets_at_r_2_by_formula_equal_the_necklaces(q):
+    # r = 2 lists the pairs {a + b q, b + a q} by one range per b
+    assert _cyclotomic_cosets.__wrapped__(q, 2) == cs._necklace_cosets(q, 2)
+
+
 # (p, s, r): the table flavour on a prime and on a composite base, r = 2..5
 ORBIT_FIELDS = [(13, 1, 2), (13, 1, 3), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 1, 5)]
 # (mode, inner plan, fiber): S, U, D and both fiber modes
@@ -615,8 +621,8 @@ def _routing_cases():
         (h, e2, None, ("pow", 3), "image"),
         (g, e1, None, ("pow", 3), "image"),  # r = 1
         (g, e2, None, ("pow", 3), "orbit"),
-        # the frobsub plan: its image H = ker Tr, f over k or not
-        (g, e2, None, ("frobsub",), "hyperplane"),
+        # the frobsub plan: its image H = ker Tr, by orbits for f over k
+        (g, e2, None, ("frobsub",), "hyperplane orbit"),
         (h, e2, None, ("frobsub",), "hyperplane"),
         (g, e1, None, ("frobsub",), "hyperplane"),  # r = 1: H = {0}
     ]
@@ -624,7 +630,8 @@ def _routing_cases():
 
 def _digit_walk(name, task):
     if task[3] == ("frobsub",):
-        return "hyperplane"  # the orbit or the full walk, kept to H
+        # the orbit or the full walk, kept to H
+        return "hyperplane orbit" if name == "_count_orbits" else "hyperplane"
     if name == "_count_coset":
         weight = task[5]  # d for the pow image, 1 for a fiber
         return "image" if weight > 1 else "fiber"
@@ -639,8 +646,11 @@ def _log_walk_name(ext, inner, points, zero):
         assert points == [(i, 1) for i in range(i0, units, q - 1)]
         return "fiber"
     if zero == q:
-        gamma = ext.generator_r
         assert inner is None
+        leaders, sizes = ext._h_orbits
+        if ext.r > 1 and points == [(i, q * size) for i, size in zip(leaders, sizes)]:
+            return "hyperplane orbit"
+        gamma = ext.generator_r
         assert points == [(i, q) for i in range(units) if ext.trace_to_base(ext.pow_(gamma, i)) == 0]
         return "hyperplane"
     if inner is None and points[0][1] > 1:
@@ -656,7 +666,8 @@ def _log_walk_name(ext, inner, points, zero):
 def test_enumerate_takes_the_orbit_walk_exactly_for_f_over_k(monkeypatch):
     # below ffield.DLOG_CAP every sum runs on exponents, above it (the cap
     # lowered below F_7) on digits; on both sides `_walk` picks the same
-    # walk, and the orbit walk runs exactly for f over k at r > 1 off a fiber
+    # walk, and the orbit walk runs exactly for f over k at r > 1 off a
+    # fiber, with the frobsub plan on the orbits in H
     seen = []
     for name in ("_count_part", "_count_orbits", "_count_coset"):
         fn = getattr(cs, name)
@@ -720,12 +731,7 @@ def _log_polys(base, ext, seed):
 def _log_counts(ext, mode, f, inner=None, mu=None):
     coeffs = lift(f, ext).coeffs or (0,)
     inner, exponents, weight, zero = cs._walk(ext, coeffs, inner, mu)
-    if inner == ("frobsub",):
-        # the units of H: the exponents of trace 0
-        inner, exponents = None, [i for i, t in enumerate(ext._logs.trace) if t == 0]
-    points = zip(*_cyclotomic_cosets(ext.base.q, ext.r)) if exponents is None else (
-        (i, weight) for i in exponents)
-    return cs._log_tally(ext, mode, coeffs, inner, points, zero)
+    return cs._log_tally(ext, mode, coeffs, *cs._log_points(ext, inner, exponents, weight), zero)
 
 
 def _digit_side_counts(ext, mode, f, inner):
@@ -754,8 +760,18 @@ def test_log_walk_equals_full_walk(p, s, r, mode, inner):
 
 @pytest.mark.parametrize("p, s, r", LOG_FIELDS)
 def test_log_kernel_lists_the_units_of_the_trace_zero_hyperplane(p, s, r, monkeypatch):
+    # by their Frobenius orbits: one leader, the least element, per orbit
     ext = make_ext(make_field(p, s, seed=0), r, seed=0)
-    q, gamma = ext.base.q, ext.generator_r
+    q, units, gamma = ext.base.q, ext.size - 1, ext.generator_r
+    leaders, sizes = ext._h_orbits
+    assert len(leaders) == len(sizes) and list(leaders) == sorted(set(leaders))
+    for i, size in zip(leaders, sizes):
+        orbit = {i * q**j % units for j in range(r)}
+        assert ext.trace_to_base(ext.pow_(gamma, i)) == 0
+        assert min(orbit) == i and len(orbit) == size
+    # distinct least elements are distinct orbits: these cover H's units
+    assert sum(sizes) == q ** (r - 1) - 1
+
     seen = []
     tally = cs._log_tally
 
@@ -766,11 +782,23 @@ def test_log_kernel_lists_the_units_of_the_trace_zero_hyperplane(p, s, r, monkey
 
     monkeypatch.setattr(cs, "_log_tally", log_tally)
     sum_additive(Poly.make(ext.base, (1, 1)), AdditiveChar.canonical(ext.base), ext, inner=("frobsub",))
-    [(inner, points, zero)] = seen
-    exponents = [i for i, _ in points]
-    assert inner is None and zero == q and {w for _, w in points} <= {q}
-    assert len(exponents) == q ** (r - 1) - 1 and exponents == sorted(set(exponents))
-    assert all(ext.trace_to_base(ext.pow_(gamma, i)) == 0 for i in exponents)
+    # at r = 1 H's one unit walk and its orbits are both empty
+    assert seen == [(None, [(i, q * size) for i, size in zip(leaders, sizes)], q)]
+
+
+@pytest.mark.parametrize("p, s, r", LOG_FIELDS)
+@pytest.mark.parametrize("mode", ["S", "U"])
+def test_hyperplane_orbit_counts_equal_the_units_and_the_digit_walks(p, s, r, mode):
+    base = make_field(p, s, seed=0)
+    ext = make_ext(base, r, seed=0)
+    q, trace = base.q, ext._logs.trace
+    units = [i for i in range(ext.size - 1) if trace[i] == 0]
+    # f over k: a random cubic, a sparse f with f(0) = 0, and a constant
+    for f in [f for f in _log_polys(base, ext, p * 100 + r) if f.ctx == base]:
+        coeffs = lift(f, ext).coeffs or (0,)
+        by_units = cs._log_tally(ext, mode, coeffs, None, [(i, q) for i in units], q)
+        assert _log_counts(ext, mode, f, ("frobsub",)) == by_units, f
+        assert _digit_side_counts(ext, mode, f, ("frobsub",)) == by_units, f
 
 
 @pytest.mark.parametrize("p, s, r", LOG_FIELDS)
