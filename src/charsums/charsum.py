@@ -20,7 +20,7 @@ Zech-logarithm tables `ExtCtx._logs` turn a product into an addition of
 exponents mod q^r - 1 and an addition into one table lookup, so f costs
 one lookup per nonzero coefficient and the trace or norm index one
 more; the orbits are the cyclotomic cosets, the units of H the
-exponents of trace 0, and the orbits in H are listed once per field
+exponents of trace 0, and the orbits in H are listed once per extension
 (`ExtCtx._h_orbits`) for every later sum.  It runs in the calling
 process, since on two cores a partition pool cost more than it saved.
 
@@ -474,7 +474,7 @@ def _log_points(ext, inner, exponents, weight):
     """The log kernel's (plan, points (i, w)) for the walk `_walk` chose.
 
     H's mark with the orbits takes the Frobenius orbits of H's units,
-    which `ExtCtx._h_orbits` lists once per field for every later sum,
+    which `ExtCtx._h_orbits` lists once per extension for later sums,
     each leader of weight `weight` times its size, and with every unit
     H's units; either spends the plan.  The orbits of k_r^* are the
     cyclotomic cosets.

@@ -756,11 +756,11 @@ def _hyperplane_orbits(ext: ExtCtx) -> tuple[array, array]:
     rotation q^j i mod N, j < r, which C-level filters check.
     - Least digit 0: i < q^(r-1), in one pass over those trace entries.
       Its last digit is nonzero too (but for i = 0), or the rotation
-      that brings it to the front would be less.
+      that brings it to the front, j = r - 1, would be less.
     - Least digit t + 1: the leaders of least digit t plus M = N/(q - 1)
-      = (1...1) in base q, kept where adding 1 to every digit carries
-      nowhere.  gamma^M lies in k^*, and Tr(c x) = c Tr(x) for c in k,
-      so H is closed under adding M to exponents.
+      = (1...1) in base q, where adding 1 to every digit carries
+      nowhere; the filters drop the others.  gamma^M lies in k^*, and
+      Tr(c x) = c Tr(x) for c in k, so H is closed under adding M.
     A leader's size is the least j dividing r with q^j i = i mod N.
     """
     q, r, units = ext.base.q, ext.r, ext.size - 1
@@ -774,6 +774,7 @@ def _hyperplane_orbits(ext: ExtCtx) -> tuple[array, array]:
             xs = list(compress(xs, map(operator.le, xs, rotations(xs, j))))
         return xs
 
+    # trace[i] = 0 and i % q != 0, which stands for the filter of j = r - 1
     heads = compress(range(top), map(operator.lt, trace[:top], cycle([0] + [1] * (q - 1))))
     block = [0] * (not trace[0]) + least(list(heads), range(r - 2, 0, -1))
     leaders = array("i", block)

@@ -782,7 +782,7 @@ def test_log_kernel_lists_the_units_of_the_trace_zero_hyperplane(p, s, r, monkey
 
     monkeypatch.setattr(cs, "_log_tally", log_tally)
     sum_additive(Poly.make(ext.base, (1, 1)), AdditiveChar.canonical(ext.base), ext, inner=("frobsub",))
-    # at r = 1 H's one unit walk and its orbits are both empty
+    # at r = 1 the sum lists H's units, of which there are none, as here
     assert seen == [(None, [(i, q * size) for i, size in zip(leaders, sizes)], q)]
 
 
