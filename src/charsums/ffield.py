@@ -15,13 +15,14 @@ out as Frobenius sums/products directly.  F_{p^s} (s > 1) is itself the
 degree-s extension of F_p, with the same packing; its add/mul/neg
 tables serve FieldCtx and the kernel.  Up to TABLE_CAP they are stored,
 the product from k's discrete logs and the sum by base-p digit
-addition; above it they are computed by that extension on lookup.  An
+addition; above it they are computed on lookup, by k's own Zech tables
+(`_zech_ops`; by that extension's kernel above DLOG_CAP).  An
 extension with q^r <= DLOG_CAP has Zech-logarithm tables over its
 generator (`ExtCtx._logs`: log, 1 + gamma^n and trace, as arrays),
-built in one walk on first use (a block of exponents at a time on a
-large field), on which `charsum`'s log kernel runs; its frobsub sums
-read the Frobenius orbits of ker Tr on exponents (`ExtCtx._h_orbits`),
-listed from the trace table once per extension.
+built in one walk on first use (a block of exponents at a time from
+BLOCK_FLOOR elements on), on which `charsum`'s log kernel runs; its
+frobsub sums read the Frobenius orbits of ker Tr on exponents
+(`ExtCtx._h_orbits`), listed from the trace table once per extension.
 They are the only discrete-log tables: k's logs (`FieldCtx._log`) are
 the `log` array of F_p at r = 1 or of F_{p^s} as its extension of F_p.
 `make_field` and `make_ext` share one seeded search for modulus and
@@ -57,11 +58,12 @@ TABLE_CAP = 1024
 # discrete-log tables: of k (and hence multiplicative character evaluation
 # on k), and the Zech-logarithm tables of k_r, whose sums then run on them
 DLOG_CAP = 1 << 22
-# log tables of q^r >= BLOCK_FLOOR elements (but F_p) are built BLOCK
-# exponents at a time (`_block_walk`); smaller ones by the slot walk,
-# whose fixed cost is lower
+# log tables of q^r >= BLOCK_FLOOR elements (but F_p) are built a block of
+# exponents at a time (`_block_walk`), the least power of two >= q^r of
+# them up to BLOCK; smaller ones by the slot walk, whose fixed cost is
+# lower (the two cross between about 300 and 512 elements, by p)
 BLOCK = 1 << 11
-BLOCK_FLOOR = 1 << 12
+BLOCK_FLOOR = 1 << 9
 MAX_CARD = 1 << 63
 
 
@@ -215,9 +217,9 @@ class FieldCtx:
     # which would build a different modulus.
 
     def _computed(self, op: str):
-        # tab[a][b] = op(a, b) by the extension, computed on lookup and never
+        # tab[a][b] = op(a, b) by `_ops`, computed on lookup and never
         # stored: the tables of an F_{p^s} above TABLE_CAP
-        f = getattr(self._ext, op)
+        f = getattr(self._ops, op)
         return _Computed(lambda a: _Computed(partial(f, a)))
 
     # _add_tab, _mul_tab and _neg_tab serve every field but a prime one
@@ -252,9 +254,19 @@ class FieldCtx:
     @cached_property
     def _neg_tab(self):
         if self.q > TABLE_CAP:
-            return _Computed(partial(self._ext.sub, 0)) if self.s > 1 else None
+            return _Computed(self._ops.neg) if self.s > 1 else None
         # -a is where row a of the addition table holds 0
         return [row.index(0) for row in self._add_tab]
+
+    @cached_property
+    def _ops(self):
+        # mul, add, sub, neg and pow_ of an F_{p^s} above TABLE_CAP, by k's
+        # own Zech tables (`_zech_ops`); above DLOG_CAP, where none exist,
+        # by the extension's kernel
+        if self.q > DLOG_CAP:
+            ext = self._ext
+            return SimpleNamespace(mul=ext.mul, add=ext.add, sub=ext.sub, neg=ext.neg, pow_=ext.pow_)
+        return _zech_ops(self)
 
     @cached_property
     def _log(self):
@@ -267,11 +279,15 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.s == 1:
             return (a + b) % self.p
+        if self.q > TABLE_CAP:
+            return self._ops.add(a, b)
         return self._add_tab[a][b]
 
     def sub(self, a: int, b: int) -> int:
         if self.s == 1:
             return (a - b) % self.p
+        if self.q > TABLE_CAP:
+            return self._ops.sub(a, b)
         return self._add_tab[a][self._neg_tab[b]]
 
     def neg(self, a: int) -> int:
@@ -282,6 +298,8 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if self.s == 1:
             return a * b % self.p
+        if self.q > TABLE_CAP:
+            return self._ops.mul(a, b)
         return self._mul_tab[a][b]
 
     def axpy(self, u: int, xs, ys) -> list[int]:
@@ -289,10 +307,15 @@ class FieldCtx:
         if self.s == 1:
             p = self.p
             return [(y + u * x) % p for x, y in zip(xs, ys)]
+        if self.q > TABLE_CAP:
+            add, mul = self._ops.add, self._ops.mul
+            return [add(y, mul(u, x)) for x, y in zip(xs, ys)]
         at, row = self._add_tab, self._mul_tab[u]
         return [at[y][row[x]] for x, y in zip(xs, ys)]
 
     def pow_(self, a: int, e: int) -> int:
+        if self.s > 1 and self.q > TABLE_CAP:
+            return self._ops.pow_(a, e)
         if e < 0:
             a, e = self.inv(a), -e
         if self.s == 1:
@@ -342,6 +365,45 @@ def make_field(p: int, s: int, seed: int = 0) -> FieldCtx:
         object.__setattr__(ctx, "_ext", ext)
     _CONTEXTS[(p, s, seed)] = ctx
     return ctx
+
+
+def _zech_ops(k: FieldCtx) -> SimpleNamespace:
+    """mul, add, sub, neg and pow_ of F_{p^s} on packed values by k's own
+    Zech tables (`k._ext._logs`) and exp[n] = gamma^n, the trace array of
+    k at r = 1: a b = exp[log a + log b], and for a, b != 0, a + b =
+    a (1 + b / a) = exp[log a + zech[log b - log a]], 0 where zech is -1.
+    At p = 2 a sum is the XOR of the packed values and -a = a; at odd p,
+    -1 = gamma^(N/2), N = q - 1."""
+    tabs, exp, units = k._ext._logs, make_ext(k, 1)._logs.trace, k.q - 1
+    log, zech, half = tabs.log, tabs.zech, units // 2
+
+    def mul(a, b):
+        return exp[(log[a] + log[b]) % units] if a and b else 0
+
+    def pow_(a, e):
+        if a:
+            return exp[log[a] * e % units]
+        if e < 0:
+            raise ZeroElement("inverse of zero")
+        return 0 if e else 1
+
+    if k.p == 2:
+        return SimpleNamespace(mul=mul, add=operator.xor, sub=operator.xor, neg=operator.pos, pow_=pow_)
+
+    def add(a, b):
+        if not (a and b):
+            return a or b
+        la = log[a]
+        z = zech[(log[b] - la) % units]
+        return exp[(la + z) % units] if z >= 0 else 0
+
+    def neg(a):
+        return exp[(log[a] + half) % units] if a else 0
+
+    def sub(a, b):
+        return add(a, neg(b))
+
+    return SimpleNamespace(mul=mul, add=add, sub=sub, neg=neg, pow_=pow_)
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +761,10 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
     x -> gamma * x mod p, since the slot walk (`_slot_walk`) reads `_kops`,
     whose tables come from these logs.  A composite k at r = 1 shares log
     and zech with k's own tables (k as the extension of F_p, over the same
-    generator and packing), and its trace, gamma^n itself, inverts log.
-    Every other field takes the block walk (`_block_walk`) from
-    BLOCK_FLOOR elements on, and the slot walk below.
+    generator and packing), and its trace, gamma^n itself, inverts log;
+    above TABLE_CAP, k computes by these tables (`_zech_ops`).  Every
+    other field takes the block walk (`_block_walk`) from BLOCK_FLOOR
+    elements on, and the slot walk, whose fixed cost is lower, below.
     """
     p, size = ext.p, ext.size
     if size > DLOG_CAP:
@@ -791,29 +854,63 @@ def _hyperplane_orbits(ext: ExtCtx) -> tuple[array, array]:
 
 def _digit_rows(ext: ExtCtx, c: int) -> list[list[int]]:
     """x -> c * x on the n = r * s base-p digits of a packed value, as an
-    F_p matrix: digit i of c * x is sum_j rows[i][j] * x_j mod p."""
-    p, n = ext.p, ext.r * ext.base.s
-    cols = [ext.mul(c, p**j) for j in range(n)]
-    return [[v // p**i % p for v in cols] for i in range(n)]
+    F_p matrix: digit i of c * x is sum_j rows[i][j] * x_j mod p.
+
+    Column j holds the digits of c * p^j = c X^a Y^b (j = b s + a), each
+    from its neighbour in plain ints mod p.  An X step (k composite) moves
+    the s digits of every k-digit up one and folds the top one back by k's
+    modulus; a Y step moves the k-digits up one and folds the top one,
+    t = sum_a u_a X^a, back by m_r: u_a times the digits of
+    -X^a (m_r - Y^r), which X steps give from -(m_r - Y^r) once.
+    """
+    base, p, r = ext.base, ext.p, ext.r
+    s = base.s
+    n = r * s
+    if s > 1:  # X^s = -(k's modulus - X^s), on every k-digit
+        xfold = [-m % p for m in base.modulus[:s]] * r
+
+    def times_x(v):
+        shifted = [0] + v[:-1]
+        shifted[::s] = repeat(0, r)
+        tops = [u for u in v[s - 1::s] for _ in range(s)]
+        return [(d + u * f) % p for d, u, f in zip(shifted, tops, xfold)]
+
+    def times_y(v):
+        out = [0] * s + v[:n - s]
+        for u, f in zip(v[n - s:], fold):
+            if u:
+                out = [d + u * e for d, e in zip(out, f)]
+        return [d % p for d in out]
+
+    fold = [[-(m // p**i) % p for m in ext.modulus_r[:r] for i in range(s)]]
+    for _ in range(s - 1):
+        fold.append(times_x(fold[-1]))
+    cols = [[c // p**i % p for i in range(n)]]
+    for j in range(1, n):
+        cols.append(times_x(cols[-1]) if j % s else times_y(cols[j - s]))
+    return [list(row) for row in zip(*cols)]
 
 
 def _block_walk(ext: ExtCtx, log, trace, succ) -> int:
     """Fill log, trace and succ[n] = the packed value of 1 + gamma^n by the
-    walk n -> gamma^n, BLOCK exponents at a time, and return gamma^N.
+    walk n -> gamma^n, a block of exponents at a time, and return gamma^N.
 
     Each base-p digit of gamma^n is a lane of one int, one lane of `width`
-    bits per exponent of the block.  The next block is the last one times
-    gamma^BLOCK, an F_p-linear map of the digits (`_digit_rows`): per digit,
-    n constant multiples of the digit ints.  The first block comes by
-    doubling from gamma^0, and its digit 0 is checked against gamma times
-    the block.  A lane then holds at most top = n (p - 1)^2, and every lane
-    is reduced mod p at once by x - p ((x m >> k) & low), exact since
-    top * p < 2^k and top * m < 2^width.  The packed values, the traces (a
-    linear combination of the digit ints) and the packed values of
-    1 + gamma^n are read out a block at a time as arrays.
+    bits per exponent of the block, and a block has the least power of two
+    >= q^r lanes, at most BLOCK, so a table of at most BLOCK elements is one
+    block.  The next block is the last one times gamma^lanes, an F_p-linear
+    map of the digits (`_digit_rows`): per digit, n constant multiples of
+    the digit ints.  The first block comes by doubling from gamma^0, and its
+    digit 0 is checked against gamma times the block.  A lane then holds at
+    most top = n (p - 1)^2, and every lane is reduced mod p at once by
+    x - p ((x m >> k) & low), exact since top * p < 2^k and top * m <
+    2^width.  The packed values, the traces (a linear combination of the
+    digit ints) and the packed values of 1 + gamma^n are read out a block
+    at a time as arrays.
     """
     p, size, s = ext.p, ext.size, ext.base.s
-    n, lanes, g = ext.r * s, BLOCK, ext.generator_r
+    # the least power of two >= q^r, at most BLOCK
+    n, lanes, g = ext.r * s, min(BLOCK, 1 << (size - 1).bit_length()), ext.generator_r
     top = n * (p - 1) ** 2
     k = (top * p).bit_length()
     m = -(-(1 << k) // p)
@@ -826,7 +923,8 @@ def _block_walk(ext: ExtCtx, log, trace, succ) -> int:
         return x - p * ((x * m >> k) & low)
 
     def apply(rows, digits):
-        return [reduce(sum(c * d for c, d in zip(row, digits) if c)) for row in rows]
+        # a zero entry adds nothing: leave its big-int sum out
+        return [reduce(sum(compress(map(operator.mul, row, digits), row))) for row in rows]
 
     def read(x, count):
         # lanes 0 .. count - 1 of x as an array("i")
@@ -847,10 +945,10 @@ def _block_walk(ext: ExtCtx, log, trace, succ) -> int:
         x = [d | y << (w * width) for d, y in zip(x, apply(_digit_rows(ext, c), x))]
         w, c = 2 * w, ext.mul(c, c)
     # digit 0 of gamma times the first block is digit 0 of the block moved
-    # down one lane, with gamma^BLOCK on top (n products, not n^2)
+    # down one lane, with gamma^lanes on top (n products, not n^2)
     if apply(_digit_rows(ext, g)[:1], x)[0] != x[0] >> width | c % p << (lanes - 1) * width:
         raise RuntimeError(f"the first block of {ext!r} is not the powers of its generator {g}")
-    step = _digit_rows(ext, c)
+    step = _digit_rows(ext, c) if lanes < size else None  # one block holds a small field
     for e in range(0, size, lanes):
         count = min(lanes, size - 1 - e)  # the exponents of this block below N
         pv = packed(x)

@@ -191,6 +191,10 @@ def test_dlog_cap():
     big = make_field(2, 23, seed=0)  # q = 2^23 exceeds the dlog cap
     with pytest.raises(FieldTooLarge):
         dlog(FqElem(big, 1), big)
+    # with no Zech tables, k computes by the digit kernel of its extension
+    ext, a, b = big._ext, 12345, 6789012
+    assert big.mul(big.add(a, b), big.sub(a, b)) == ext.mul(ext.add(a, b), ext.sub(a, b))
+    assert big.pow_(a, -3) == ext.pow_(a, -3) and big.mul(a, big.inv(a)) == 1
     prime = make_field(4194319, 1)  # the least prime above 2^22
     with pytest.raises(FieldTooLarge):
         dlog(FqElem(prime, 1), prime)
@@ -419,19 +423,40 @@ def test_power_rejects_a_negative_exponent():
 # computed on lookup above it, and none at all for a large prime field
 F37_2 = (37, 2)
 F2_11 = (2, 11)
+F3_7 = (3, 7)
 
 
-@pytest.mark.parametrize("ps", [F37_2, F2_11])
+@pytest.mark.parametrize("ps", [F37_2, F2_11, F3_7])
 def test_computed_tables_equal_the_extension_ops(ps):
+    # a composite k above TABLE_CAP computes by its own Zech tables: every
+    # FieldCtx op and every computed table entry against the digit kernel
+    # of k as its extension of F_p, on seeded pairs with zeros, and powers
+    # from negative exponents to exponents past q
     k = make_field(*ps)
     ext = k._ext
+    assert k.q > TABLE_CAP
     rng = random.Random(11)
-    for _ in range(200):
-        a, b = rng.randrange(k.q), rng.randrange(k.q)
-        assert k.add(a, b) == ext.add(a, b)
+    pairs = [(0, 0), (0, 1), (1, 0), (k.q - 1, 0), (0, k.q - 1), (1, k.p - 1)]
+    pairs += [(rng.randrange(k.q), rng.randrange(k.q)) for _ in range(200)]
+    for a, b in pairs:
+        assert k.add(a, b) == ext.add(a, b) == k._add_tab[a][b]
         assert k.sub(a, b) == ext.sub(a, b)
-        assert k.neg(a) == ext.neg(a)
-        assert k.mul(a, b) == ext.mul(a, b)
+        assert k.neg(a) == ext.neg(a) == k._neg_tab[a]
+        assert k.mul(a, b) == ext.mul(a, b) == k._mul_tab[a][b]
+        for e in (0, 1, 2, -1, -2, k.q - 1, rng.randrange(-3 * k.q, 3 * k.q)):
+            if a or e >= 0:
+                assert k.pow_(a, e) == ext.pow_(a, e)
+            else:
+                with pytest.raises(ZeroElement):
+                    k.pow_(a, e)
+        if a:
+            assert k.inv(a) == ext.inv(a)
+            assert k.mul(a, k.inv(a)) == 1
+    with pytest.raises(ZeroElement):
+        k.inv(0)
+    xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
+    for u in (0, 1, rng.randrange(k.q)):
+        assert k.axpy(u, xs, ys) == ext.axpy(u, xs, ys)
 
 
 @pytest.mark.parametrize("ps", [F37_2, F2_11, (1031, 1)])
@@ -524,15 +549,42 @@ def _slot_walk_tables(ext):
     return log, trace, zech
 
 
-@pytest.mark.parametrize("pr", [(13, 1, 4), (3, 2, 4), (31, 1, 3), (2, 1, 13), (2, 2, 6)])
+@pytest.mark.parametrize(
+    "pr",
+    [(13, 1, 4), (3, 2, 4), (31, 1, 3), (2, 1, 13), (2, 2, 6), (7, 1, 4), (13, 1, 3), (31, 1, 2), (2, 1, 11),
+     (3, 2, 3)],
+)
 def test_block_walk_tables_equal_the_slot_walk(pr):
     # every table of at least BLOCK_FLOOR elements is built a block of
-    # exponents at a time: the same arrays as the slot walk's
+    # exponents at a time: the same arrays as the slot walk's, from fields
+    # of one block (F_31^2, F_9^3) and of two (F_7^4, F_13^3) up
     ext = make_ext(make_field(*pr[:2]), pr[2])
     assert ext.size >= ff.BLOCK_FLOOR
     tabs = ff._log_tables(ext)
     assert (tabs.log, tabs.trace, tabs.zech) == _slot_walk_tables(ext)
     assert ext.pow_(ext.generator_r, tabs.log[ext.p - 1]) == ext.neg(1)
+
+
+@pytest.mark.parametrize("pr", [(5, 1, 4), (2, 1, 9)])
+def test_block_walk_fits_its_lanes_to_the_field(pr, monkeypatch):
+    # a block has the least power of two >= q^r lanes: F_5^4 (625 elements)
+    # is one block of 1024 lanes and F_2^9 one of 512.  The multipliers are
+    # then gamma^w for the doublings w < lanes and gamma for the check of
+    # the first block, and no gamma^lanes: no block follows
+    ext = make_ext(make_field(*pr[:2]), pr[2])
+    lanes = 1 << (ext.size - 1).bit_length()
+    assert ff.BLOCK_FLOOR <= ext.size <= lanes <= ff.BLOCK
+    digit_rows, seen = ff._digit_rows, []
+
+    def recorded(ext, c):
+        seen.append(c)
+        return digit_rows(ext, c)
+
+    monkeypatch.setattr(ff, "_digit_rows", recorded)
+    tabs = ff._log_tables(ext)
+    g = ext.generator_r
+    assert seen == [ext.pow_(g, 1 << i) for i in range(lanes.bit_length() - 1)] + [g]
+    assert (tabs.log, tabs.trace, tabs.zech) == _slot_walk_tables(ext)
 
 
 @pytest.mark.parametrize("pr", [(7, 1, 4), (5, 1, 3)])
@@ -581,6 +633,18 @@ def test_block_walk_never_returns_tables_from_a_wrong_multiplier(monkeypatch):
 # (F_1031) and generic (F_2048) flavours, and a block-built table (F_13^4)
 LOG_FIELDS = [(2, 1, 1), (7, 1, 1), (2, 1, 5), (13, 1, 3), (3, 2, 3), (2, 2, 3), (1031, 1, 1), (2, 11, 1),
               (13, 1, 4)]
+
+
+@pytest.mark.parametrize("p, s, r", LOG_FIELDS)
+def test_digit_rows_by_basis_steps_equal_the_extension_products(p, s, r):
+    # column j of the matrix of c is c times the basis element of packed
+    # value p^j: one ExtCtx.mul each, by the extension's digit kernel
+    ext = make_ext(make_field(p, s), r)
+    n = r * s
+    rng = random.Random(5)
+    for c in [0, 1, p - 1, ext.generator_r, ext.size - 1] + [rng.randrange(ext.size) for _ in range(8)]:
+        cols = [ext.mul(c, p**j) for j in range(n)]
+        assert ff._digit_rows(ext, c) == [[v // p**i % p for v in cols] for i in range(n)]
 
 
 @pytest.mark.parametrize("p, s, r", LOG_FIELDS)
