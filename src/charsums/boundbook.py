@@ -8,8 +8,9 @@ against come from the oracles in `charsum`.
 
 The TransMult gate reads g_r(0) off the resultant sequence g_n (roots: the
 n-fold sums of the roots of g), whose steps are characteristic polynomials
-of Kronecker sums, taken as resultants over k[x] of degree d in u: no
-extension of k is built.
+of Kronecker sums.  A small step takes the characteristic polynomial of
+the Kronecker sum over k, through its Hessenberg form; a larger one takes
+a resultant over k[x] of degree d in u.  No extension of k is built.
 
 Kinds: WeilAdd, WeilMult, TransAdd, TransAddExc, TransAddSp,
 TransAddSpExc, TransMult, TransMultExc, HomAdd, HomMult.
@@ -158,33 +159,108 @@ def _resultant_kx(a: list[Poly], b: list[Poly]) -> Poly:
     return -h if neg else h
 
 
+def _norm_kx(f: tuple[int, ...], h: tuple[int, ...], ctx: FieldCtx) -> Poly:
+    """prod (x - a - b) over the roots a of f and b of h, both monic and
+    given by ascending coefficients: the norm of f(x - u) from
+    A = k[x][u]/(h(u)) to k[x], by Horner in A and the subresultant chain."""
+
+    def times_u(v):  # u v in A, v by its coordinates over k[x]
+        return [a - v[-1].scale(c) for a, c in zip([Poly(ctx, ())] + v[:-1], h)]
+
+    v = [Poly(ctx, (1,))] + [Poly(ctx, ())] * (len(h) - 2)
+    for c in reversed(f[:-1]):  # Horner: v = v (x - u) + c
+        v = [Poly(ctx, (0,) + a.coeffs) - b for a, b in zip(v, times_u(v))]
+        v[0] += Poly(ctx, (c,))
+    while v[-1].is_zero:  # v[0] has degree deg f in x, so v is not zero
+        v.pop()
+    return _resultant_kx([Poly(ctx, (c,)) for c in h], v)
+
+
+def _charpoly(m: list[list[int]], ctx: FieldCtx) -> Poly:
+    """det(x I - m) for a square matrix m over k, given by its rows and
+    changed in place: a similarity over k brings m to upper Hessenberg form,
+    whose leading principal minors follow a recurrence (Cohen, GTM 138,
+    Algorithm 2.2.9)."""
+    n = len(m)
+    for c in range(n - 2):  # clear column c below row c + 1
+        piv = next((i for i in range(c + 1, n) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv > c + 1:
+            m[piv], m[c + 1] = m[c + 1], m[piv]
+            for row in m:
+                row[piv], row[c + 1] = row[c + 1], row[piv]
+        top, inv = m[c + 1], ctx.inv(m[c + 1][c])
+        mults = [(i, ctx.mul(m[i][c], inv)) for i in range(c + 2, n) if m[i][c]]
+        for i, u in mults:  # row i -= u row c+1, then column c+1 += u column i
+            m[i] = ctx.axpy(ctx.neg(u), top, m[i])
+        if mults:
+            cols = list(zip(*m))
+            col = cols[c + 1]
+            for i, u in mults:
+                col = ctx.axpy(u, cols[i], col)
+            for row, v in zip(m, col):
+                row[c + 1] = v
+    minors = [[1]]  # minors[j]: det(x I - H) over the leading j x j block
+    for j in range(n):
+        prev = minors[-1]
+        cur = ctx.axpy(ctx.neg(m[j][j]), prev + [0], [0] + prev)
+        t = 1
+        for i in range(j, 0, -1):
+            t = ctx.mul(t, m[i][i - 1])
+            if not t:
+                break
+            w = ctx.mul(t, m[i - 1][j])
+            if w:
+                cur[:i] = ctx.axpy(ctx.neg(w), minors[i - 1], cur[:i])
+        minors.append(cur)
+    return Poly(ctx, tuple(minors[n]))
+
+
+def _kronecker_charpoly(f: tuple[int, ...], h: tuple[int, ...], ctx: FieldCtx) -> Poly:
+    """det(x I - C_f (x) I - I (x) C_h) for monic f of degree D and h of
+    degree d (ascending coefficients): the D d x D d Kronecker sum, built
+    with row i d + j for the pair (i, j), in `_charpoly`."""
+    D, d = len(f) - 1, len(h) - 1
+    m = [[0] * (D * d) for _ in range(D * d)]
+    for i in range(D):
+        for j in range(d):
+            row = m[i * d + j]
+            if i:
+                row[(i - 1) * d + j] = 1
+            if j:
+                row[i * d + j - 1] = 1
+            row[(D - 1) * d + j] = ctx.sub(row[(D - 1) * d + j], f[i])
+            row[i * d + d - 1] = ctx.sub(row[i * d + d - 1], h[j])
+    return _charpoly(m, ctx)
+
+
+# a step with D and d both at most this takes the Hessenberg route, any
+# other the subresultant chain over k[x]: the measured crossover.  The chain
+# is faster at D = 9, d = 3 over every k timed, at D = 8, d = 2 over most,
+# and at D = d = 5 over k of characteristic 2
+HESSENBERG_MAX_DEGREE = 4
+
+
 def _sequence_step(gn: Poly, g: Poly) -> Poly:
     """g_{n+1}(x) = Res_t(g_n(t), g(x - t)) = lc(g_n)^d lc(g)^D prod (x - a - b)
     over the D roots a of g_n and the d roots b of g.
 
     The product is det(x I - C_{g_n} (x) I_d - I_D (x) C_g), C_f the
-    companion matrix of f / lc(f).  The blocks of that Kronecker sum all
+    companion matrix of f / lc(f).  When D and d are both at most
+    HESSENBERG_MAX_DEGREE, that characteristic polynomial is taken over k
+    (`_kronecker_charpoly`).  Otherwise: the blocks of that Kronecker sum all
     commute with C_g, so it is the d x d determinant det f(x I_d - C_g)
     over k[x], f = g_n / lc(g_n): the norm of f(x - u) from
     A = k[x][u]/(g(u)) to k[x], which is Res_u(g(u) / lc(g), f(x - u)
-    mod g(u)).  Two resultants over k check it at x = 0 and x = 1.
+    mod g(u)) (`_norm_kx`).  Two resultants over k check either route at
+    x = 0 and x = 1.
     """
     ctx = gn.ctx
     D, d = gn.degree, g.degree
-    mono = [ctx.mul(ctx.inv(g.lead), c) for c in g.coeffs]
-    inv = ctx.inv(gn.lead)
-
-    def times_u(v):  # u v in A, v by its coordinates over k[x]
-        return [a - v[-1].scale(c) for a, c in zip([Poly(ctx, ())] + v[:-1], mono)]
-
-    v = [Poly(ctx, (1,))] + [Poly(ctx, ())] * (d - 1)
-    for c in reversed(gn.coeffs[:-1]):  # Horner: v = v (x - u) + c / lc(g_n)
-        v = [Poly(ctx, (0,) + a.coeffs) - b for a, b in zip(v, times_u(v))]
-        v[0] += Poly(ctx, (ctx.mul(inv, c),))
-    while v[-1].is_zero:  # v[0] has degree D in x, so v is not zero
-        v.pop()
+    route = _kronecker_charpoly if max(D, d) <= HESSENBERG_MAX_DEGREE else _norm_kx
     lead = ctx.mul(ctx.pow_(gn.lead, d), ctx.pow_(g.lead, D))
-    res = _resultant_kx([Poly(ctx, (c,)) for c in mono], v).scale(lead)
+    res = route(gn.monic().coeffs, g.monic().coeffs, ctx).scale(lead)
     for x0 in (0, 1):
         want = resultant(gn, compose(g, Poly(ctx, (x0, ctx.neg(1)))))
         if evaluate(res, FqElem(ctx, x0)) != want:

@@ -43,6 +43,7 @@ from charsums.localdata import compute_local_data, root_branches
 from charsums import boundbook, ffield
 from charsums.polyring import Poly, evaluate, random_poly, root_structure
 
+F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
@@ -241,20 +242,26 @@ def test_resultant_sequence_leading_coefficient_non_monic():
         assert resultant_sequence(g, n) == _tuple_sum_product(F7, roots, n, lead=lead)
 
 
+# HESSENBERG_MAX_DEGREE values that send every step down one route, and the
+# function that gives that route's product before scaling
+ROUTES = {"hessenberg": (math.inf, "_charpoly"), "chain": (-1, "_resultant_kx")}
+
+
+def _by_each_route(monkeypatch, fn, *args):
+    """fn(*args) with every step on the Hessenberg route, then on the chain."""
+    out = []
+    for bound, _ in ROUTES.values():
+        monkeypatch.setattr(boundbook, "HESSENBERG_MAX_DEGREE", bound)
+        out.append(fn(*args))
+    return out
+
+
 def test_sequence_step_rejects_wrong_degree_or_leading_coefficient(monkeypatch):
-    # corruptions of the resultant over k[x], caught by the resultants over k
-    # at x = 0 and x = 1
-    real_res = boundbook._resultant_kx
+    # corruptions of either route's product, the characteristic polynomial
+    # over k or the resultant over k[x], caught by the resultants over k at
+    # x = 0 and x = 1
     g = Poly.make(F7, (3, 0, 5, 1))
     good = resultant_sequence(g, 2)
-
-    def corrupt(change):
-        def bad(a, b):
-            c = list(real_res(a, b).coeffs)
-            return Poly(F7, tuple(change(F7, c)))
-
-        return bad
-
     changes = [
         lambda ctx, c: c[:-1],  # degree one lower
         lambda ctx, c: c[:-1] + [ctx.add(c[-1], c[-1])],  # leading coefficient doubled
@@ -262,12 +269,112 @@ def test_sequence_step_rejects_wrong_degree_or_leading_coefficient(monkeypatch):
         lambda ctx, c: c[:4] + [ctx.add(c[4], 3)] + c[5:],  # a middle coefficient
         lambda ctx, c: c[::-1],  # reversed
     ]
-    for change in changes:
-        monkeypatch.setattr(boundbook, "_resultant_kx", corrupt(change))
-        with pytest.raises(SequenceMismatch):
-            resultant_sequence(g, 2)
-    monkeypatch.setattr(boundbook, "_resultant_kx", real_res)
-    assert resultant_sequence(g, 2) == good
+
+    def corrupt(real, change):
+        def bad(*args):
+            return Poly(F7, tuple(change(F7, list(real(*args).coeffs))))
+
+        return bad
+
+    for bound, name in ROUTES.values():
+        real = getattr(boundbook, name)
+        monkeypatch.setattr(boundbook, "HESSENBERG_MAX_DEGREE", bound)
+        for change in changes:
+            monkeypatch.setattr(boundbook, name, corrupt(real, change))
+            with pytest.raises(SequenceMismatch):
+                resultant_sequence(g, 2)
+        monkeypatch.setattr(boundbook, name, real)
+        assert resultant_sequence(g, 2) == good
+
+
+@pytest.mark.parametrize(
+    "ctx", [F2, F3, F4, F5, F7, F9, F13], ids=["F2", "F3", "F4", "F5", "F7", "F9", "F13"]
+)
+def test_both_routes_give_the_same_step(ctx, monkeypatch):
+    # first steps (g_n = g: the Kronecker sum has the repeated eigenvalues
+    # a + b = b + a), a g_n of lower degree than g, monic and non-monic g,
+    # the steps with D d = 0 and 1, and second and third steps through the
+    # whole sequence
+    rng = random.Random(ctx.size)
+    step = boundbook._sequence_step
+    cases = []
+    for d in range(1, 7):
+        for monic in (True, False):
+            g = random_poly(ctx, d, rng, monic=monic)
+            cases.append((g, g))
+            if d > 1:
+                cases.append((random_poly(ctx, rng.randrange(1, d), rng, monic=not monic), g))
+    const, lin = Poly(ctx, (rng.randrange(1, ctx.size),)), random_poly(ctx, 1, rng)
+    cases += [(const, lin), (lin, const), (const, const), (lin, lin)]
+    for gn, g in cases:
+        hess, chain = _by_each_route(monkeypatch, step, gn, g)
+        assert hess == chain, (gn, g)
+    for d in (1, 2, 3, 4):
+        g = random_poly(ctx, d, rng)
+        hess, chain = _by_each_route(monkeypatch, resultant_sequence, g, 3)
+        assert hess == chain and hess.degree == d**3, g
+
+
+@pytest.mark.parametrize("ctx", [F5, F4], ids=["F5", "F4"])
+def test_charpoly_is_the_laplace_determinant(ctx):
+    # det(x I - m) by the Hessenberg form against expansion, on sparse
+    # matrices too: row swaps and zero subdiagonal entries
+    rng = random.Random(ctx.size)
+    x, zero = Poly.x(ctx), Poly(ctx, ())
+    for n in range(1, 6):
+        for density in (0.3, 0.6, 1.0):
+            m = [[rng.randrange(ctx.size) if rng.random() < density else 0 for _ in range(n)]
+                 for _ in range(n)]
+            xm = [[(x if i == j else zero) - Poly(ctx, (a,)) for j, a in enumerate(row)]
+                  for i, row in enumerate(m)]
+            assert boundbook._charpoly([list(row) for row in m], ctx) == _laplace(xm), m
+
+
+@pytest.mark.parametrize("ctx", [F5, F4, F7], ids=["F5", "F4", "F7"])
+def test_hessenberg_route_is_the_determinant_of_f_at_x_minus_companion(ctx, monkeypatch):
+    # lc(g_n)^d lc(g)^D det f(x I - C_g) over k[x], f = g_n / lc(g_n), by
+    # expansion: the d x d form of the Kronecker sum's determinant
+    monkeypatch.setattr(boundbook, "HESSENBERG_MAX_DEGREE", math.inf)
+    rng = random.Random(ctx.size)
+    x = Poly.x(ctx)
+
+    def const(c):
+        return Poly(ctx, (c,))
+
+    for D, d in [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (1, 3)]:
+        gn, g = random_poly(ctx, D, rng), random_poly(ctx, d, rng)
+        inv_n, inv = ctx.inv(gn.lead), ctx.inv(g.lead)
+        # x I - C_g: C_g has ones below the diagonal and -g_i / lc(g) last
+        X = [[(x if i == j else const(0)) - const(1 if i == j + 1 else 0)
+              + const(ctx.mul(inv, g.coeffs[i]) if j == d - 1 else 0) for j in range(d)]
+             for i in range(d)]
+        fX = [[const(1 if i == j else 0) for j in range(d)] for i in range(d)]
+        for c in reversed(gn.coeffs[:-1]):  # Horner in the d x d matrices
+            fX = [[sum((fX[i][l] * X[l][j] for l in range(d)),
+                       const(ctx.mul(inv_n, c) if i == j else 0)) for j in range(d)]
+                  for i in range(d)]
+        lead = ctx.mul(ctx.pow_(gn.lead, d), ctx.pow_(g.lead, D))
+        assert boundbook._sequence_step(gn, g) == _laplace(fX).scale(lead), (gn, g)
+
+
+def test_small_steps_take_the_hessenberg_route_and_large_ones_the_chain(monkeypatch):
+    calls = []
+    for _, name in ROUTES.values():
+        real = getattr(boundbook, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(boundbook, name, spy)
+    cubic = random_poly(F7, 3, random.Random(1))
+    boundbook._sequence_step(cubic, cubic)
+    assert calls == ["_charpoly"]
+    quintic = Poly.make(F7, (3, 1, 0, 0, 0, 1))
+    g2 = resultant_sequence(quintic, 2)
+    calls.clear()
+    assert boundbook._sequence_step(g2, quintic).degree == 125
+    assert g2.degree == 25 and calls == ["_resultant_kx"]
 
 
 def _laplace(m):

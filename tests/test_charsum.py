@@ -118,6 +118,17 @@ def test_mult_char_properties():
         assert v == 0 or abs(v - 1) < 1e-12
 
 
+@pytest.mark.parametrize("ps", [(2, 1), (7, 1), (3, 2)])
+def test_mult_char_is_trivial_exactly_when_every_unit_maps_to_one(ps):
+    # chi_j for j over two periods of q - 1 and a negative j; at q = 2 the
+    # unit group is trivial, so every chi_j is
+    ctx = make_field(*ps)
+    for j in range(-1, 2 * (ctx.q - 1) + 1):
+        chi = MultChar(ctx, j)
+        ones = all(abs(chi.value(x) - 1) < 1e-12 for x in range(1, ctx.q))
+        assert chi.is_trivial is ones and (chi.order == 1) is ones, j
+
+
 @pytest.mark.parametrize("ps", [(2, 1), (3, 1), (13, 1), (1031, 1), (3, 2), (2, 6), (37, 2)])
 def test_chi_table_equals_the_unit_root_construction(ps):
     # chi_j(g^i) = zeta_(q-1)^(j i) from the roots of order q - 1 and logs

@@ -210,6 +210,38 @@ def test_ctx_mismatch_raised():
         trace(FqElem(f5, 1), e2)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_field(7, 1), lambda: make_field(3, 2), lambda: make_field(37, 2),
+     lambda: make_ext(make_field(5, 1), 2)],
+    ids=["F7", "F9", "F37^2", "F5^2-ext"],
+)
+def test_element_operators_are_the_context_operations(build):
+    # -, unary -, /, ** and truth of FqElem on a prime k, a k with stored
+    # tables, a k above TABLE_CAP and an extension context
+    ctx = build()
+    rng = random.Random(ctx.size)
+    zero, one = FqElem(ctx, 0), FqElem(ctx, 1)
+    for _ in range(20):
+        a, b = rng.randrange(ctx.size), rng.randrange(1, ctx.size)
+        x, y = FqElem(ctx, a), FqElem(ctx, b)
+        assert (x - y).val == ctx.sub(a, b) and (x - y) + y == x
+        assert (-x).val == ctx.neg(a) and -x + x == zero
+        assert (x / y).val == ctx.mul(a, ctx.inv(b)) and x / y * y == x
+        power = one
+        for e in range(6):
+            assert x**e == power and (x**e).val == ctx.pow_(a, e)
+            power = power * x
+        if a:
+            assert x**-3 * x**3 == one and (x**-1).val == ctx.inv(a)
+        assert bool(x) is (a != 0) and bool(y)
+    assert not zero and one
+    with pytest.raises(ZeroElement):
+        one / zero
+    with pytest.raises(ZeroElement):
+        zero**-1
+
+
 def test_flavors_agree_on_shared_sizes():
     # generic flavor (s=2, q>1024) against an independent table-flavor rerun
     f37 = make_field(37, 2, seed=0)
