@@ -465,10 +465,19 @@ class _LazyPool:
 
 
 def run(config: ExperimentConfig, pool=None) -> list[ResultRow]:
-    """Execute a config; deterministic given its seed (wall time aside)."""
+    """Execute a config; deterministic given its seed (wall time aside).
+
+    Each row's g is drawn once per call and kept in a dict keyed by
+    (ctx, row seed), the row seed being `_row_seed(config.seed, ctx.size,
+    d, trial)`: a g over k (Trans, Weil) has a key free of r and is drawn
+    for the first r only, a g over k_r (Hom) has ctx = k_r in its key and
+    is drawn at each r.  `_run_cell` fills the dict, so the draw is timed
+    inside the row that first needs it.
+    """
     base = make_field(config.p, config.s, seed=0)
     psi = AdditiveChar(base, config.char_b % base.q)
     rows: list[ResultRow] = []
+    drawn: dict = {}
     own_pool = None
     if pool is None and config.workers > 1:
         own_pool = pool = _LazyPool(config.workers)
@@ -484,7 +493,7 @@ def run(config: ExperimentConfig, pool=None) -> list[ResultRow]:
                 for e in config.e if config.kind in ("HomAdd", "HomMult") else [1]:
                     for trial in range(config.trials):
                         rows.extend(
-                            _run_cell(config, base, ext, psi, d, e, trial, pool)
+                            _run_cell(config, base, ext, psi, d, e, trial, pool, drawn)
                         )
     finally:
         if own_pool is not None:
@@ -492,7 +501,14 @@ def run(config: ExperimentConfig, pool=None) -> list[ResultRow]:
     return rows
 
 
-def _run_cell(config, base, ext, psi, d, e, trial, pool):
+def _run_cell(config, base, ext, psi, d, e, trial, pool, drawn):
+    """The one row of (r, d, e, trial), timed from its start to its end.
+
+    Its g comes from `drawn` under the key (ctx, row seed) that `run`
+    describes; the first row with that key draws g (or parses the explicit
+    coefficients) and stores it, so that row's `seconds` include the draw
+    and every later row with the key reuses it.
+    """
     kind = config.kind
     if kind not in KINDS:
         raise ConfigInvalid([f"unhandled kind {kind!r}"])
@@ -502,11 +518,15 @@ def _run_cell(config, base, ext, psi, d, e, trial, pool):
     if hom and (q - 1) % e != 0:
         raise ConfigInvalid([f"e = {e} does not divide q - 1 = {q - 1}"])
     ctx = ext if hom else base
-    if config.poly_source == "explicit":
-        g = poly_from_text(ctx, config.poly_coeffs)
-    else:
-        rng = random.Random(_row_seed(config.seed, ctx.size, d, trial))
-        g = gen_poly(ctx, d, config.constraints, rng)
+    # explicit coefficients (d is None) give one g per ctx
+    key = (ctx, None if d is None else _row_seed(config.seed, ctx.size, d, trial))
+    g = drawn.get(key)
+    if g is None:
+        if d is None:
+            g = poly_from_text(ctx, config.poly_coeffs)
+        else:
+            g = gen_poly(ctx, d, config.constraints, random.Random(key[1]))
+        drawn[key] = g
     additive = kind.endswith("Add")
     char = psi if additive else MultChar.of_order(base, config.char_m)
     m = 0 if additive else char.order

@@ -131,11 +131,29 @@ _CONTEXTS: dict[tuple, object] = {}
 
 
 def _unit_generator(rng, ctx, size: int) -> int:
-    """The first seeded draw in [1, size) whose order is size - 1."""
-    prime_divs = factorize(size - 1)
+    """The first seeded draw in [1, size) whose order is size - 1.
+
+    Over k_r, with q = |k|, N = q^r - 1 and M = N / (q - 1): for a prime
+    ell | q - 1, g^(N/ell) = N(g)^((q-1)/ell), tested in k on the norm
+    N(g) = g^M, taken once per draw and only when some such ell exists
+    (never at q = 2); for any other prime ell | N, g^(N/ell) = 1 exactly
+    when g^(M/ell) lies in k.  On F_p itself M = 1 and the norm is g.
+    """
+    ext = isinstance(ctx, ExtCtx)
+    k = ctx.base if ext else ctx
+    q = k.q
+    m = (size - 1) // (q - 1)
+    primes = factorize(size - 1)
+    in_k = [(q - 1) // ell for ell in primes if (q - 1) % ell == 0]
+    beyond = [m // ell for ell in primes if (q - 1) % ell]
     while True:
         g = rng.randrange(1, size)
-        if all(ctx.pow_(g, (size - 1) // ell) != 1 for ell in prime_divs):
+        if in_k:
+            norm = ctx._kops.enorm(ctx.unpack(g)) if ext else g
+            if any(k.pow_(norm, e) == 1 for e in in_k):
+                continue
+        # the packed values below q are the elements of k
+        if all(ctx.pow_(g, e) >= q for e in beyond):
             break
     assert ctx.pow_(g, size - 1) == 1
     return g

@@ -12,11 +12,12 @@ extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .charsum import AdditiveChar
 from .errors import NotInvariant, ZeroPoly
 from .ffield import FieldCtx
-from .polyring import Poly, divrem, squarefree_decomposition
+from .polyring import ANALYSIS_CACHE, Poly, divrem, squarefree_decomposition
 
 
 def artin_schreier_poly(ctx, q: int) -> Poly:
@@ -118,11 +119,13 @@ def _twist_constant(psi: AdditiveChar) -> int:
     return ctx.pow_(psi.b, ctx.q // ctx.p - 1)
 
 
+@lru_cache(maxsize=ANALYSIS_CACHE)
 def as_reduce(f: Poly, psi: AdditiveChar) -> ASReduction:
     """Reduce f until its degree is prime to p, preserving psi(Tr f(x)).
 
     While the leading degree d = e*p is divisible by p, replace a_d x^d
     by a*b_d x^e where b_d^p = a_d and a is the twist constant of psi.
+    Memoized, like `mth_power_test`: both are pure in frozen arguments.
     """
     ctx = f.ctx
     if not isinstance(ctx, FieldCtx) or ctx != psi.ctx:
@@ -150,6 +153,7 @@ def as_reduce(f: Poly, psi: AdditiveChar) -> ASReduction:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=ANALYSIS_CACHE)
 def mth_power_test(f: Poly, m: int) -> tuple[bool, int]:
     """(is f = c*h^m for some h, number of distinct roots in the closure).
 

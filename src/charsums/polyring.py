@@ -15,6 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import (
     CtxMismatch,
@@ -26,6 +27,10 @@ from .errors import (
 from .ffield import ExtCtx, FieldCtx, FqElem, elem, power
 
 ROOT_ENUM_CAP = 10**6
+# entries kept by each memoized analysis of a frozen polynomial
+# (is_squarefree here, as_reduce and mth_power_test in invariance): a
+# config's rows ask them of the same few g at each extension level
+ANALYSIS_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -325,8 +330,10 @@ def parity_check(g: Poly) -> Parity:
     return Parity.NEITHER
 
 
+@lru_cache(maxsize=ANALYSIS_CACHE)
 def is_squarefree(g: Poly) -> bool:
-    """True iff g has no repeated roots over the algebraic closure."""
+    """True iff g has no repeated roots over the algebraic closure
+    (memoized: g is frozen; the zero polynomial raises on every call)."""
     if g.is_zero:
         raise ZeroPoly("square-freeness of the zero polynomial is undefined")
     if g.degree <= 0:

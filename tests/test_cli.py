@@ -457,6 +457,57 @@ def test_golden_csv_bytes_through_the_digit_walks(name, monkeypatch):
     test_golden_csv_bytes(name)
 
 
+MULTI_R = [
+    name for name in GOLDEN
+    if len(json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())["r"]) > 1
+]
+
+
+@pytest.mark.parametrize("name", MULTI_R)
+def test_a_multi_r_config_split_by_r_gives_the_joint_bytes(name):
+    # a g over k is drawn once for every level r of a run: the rows must be
+    # those of one run per level, which draws it afresh each time
+    data = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    joint = csv_without_timing(rows_to_csv(run(parse_config(data))))
+    parts = [csv_without_timing(rows_to_csv(run(parse_config({**data, "r": [r]})))) for r in data["r"]]
+    assert parts[0] + "".join(part.split("\n", 1)[1] for part in parts[1:]) == joint
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_each_g_is_drawn_once_per_config(kind, monkeypatch):
+    # a g over k serves every level r; a g over k_r (Hom) is drawn at each
+    # r, and serves every e there, since the row seed does not involve e
+    calls, open_cells = [], []
+    run_cell = cli._run_cell
+
+    def cell(*args):
+        open_cells.append(args)
+        try:
+            return run_cell(*args)
+        finally:
+            open_cells.pop()
+
+    def spy(ctx, d, constraints, rng):
+        assert open_cells, "g drawn outside a row"  # its time is the row's
+        calls.append((ctx, d))
+        return gen_poly(ctx, d, constraints, rng)
+
+    monkeypatch.setattr(cli, "_run_cell", cell)
+    monkeypatch.setattr(cli, "gen_poly", spy)
+    hom = kind.startswith("Hom")
+    config = cfg(kind=kind, r=[1, 2, 3], d=[2, 3], trials=2, char={"b": 1, "m": 2},
+                 poly={"source": "random", "constraints": {}}, **({"e": [2, 3]} if hom else {}))
+    rows = run(parse_config(config))
+    cells = [(r, d) for r in (1, 2, 3) for d in (2, 3)]
+    assert len(rows) == len(cells) * 2 * (2 if hom else 1)
+    if hom:
+        # once per (r, d, trial)
+        assert [(ctx.r, d) for ctx, d in calls] == [cell for cell in cells for _ in range(2)]
+    else:
+        # once per (d, trial), all over k
+        assert calls == [(make_field(7, 1), d) for d in (2, 3) for _ in range(2)]
+
+
 def test_a_run_below_the_log_table_cap_starts_no_pool():
     # with two workers, a config whose fields are all under DLOG_CAP never
     # splits a digit walk, so the process imports no process pool at all

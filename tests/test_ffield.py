@@ -375,6 +375,31 @@ def test_moduli_and_generators_are_pinned(build, modulus, generator):
         assert (ctx.modulus, ctx.generator) == (modulus, generator)
 
 
+def _full_power_generator(rng, ctx, size):
+    # the plain rule: one power g^((size - 1)/ell) in ctx for every prime ell
+    primes = ff.factorize(size - 1)
+    while True:
+        g = rng.randrange(1, size)
+        if all(ctx.pow_(g, (size - 1) // ell) != 1 for ell in primes):
+            return g
+
+
+@pytest.mark.parametrize(
+    "p, s, r",
+    [(2, 1, 3), (2, 1, 5), (2, 1, 7), (2, 1, 9), (2, 1, 11), (3, 1, 2), (3, 1, 3), (3, 1, 5),
+     (3, 1, 7), (5, 1, 2), (5, 1, 3), (5, 1, 4), (5, 1, 6), (7, 1, 2), (7, 1, 3), (7, 1, 4),
+     (13, 1, 2), (13, 1, 3), (3, 2, 3), (2, 2, 5), (31, 1, 3), (1031, 1, 2), (7, 1, None),
+     (1031, 1, None)],
+)
+def test_unit_generator_by_the_norm_draws_what_full_powers_draw(p, s, r):
+    # primes dividing q - 1 are tested on the norm in k, the others by
+    # g^(M/ell) outside k: the same accepted draws, so the same generators
+    ctx = _field_or_ext(p, s, r)
+    for seed in range(5):
+        want = _full_power_generator(random.Random(seed), ctx, ctx.size)
+        assert ff._unit_generator(random.Random(seed), ctx, ctx.size) == want
+
+
 @pytest.mark.parametrize("p, s, r", [(7, 1, 3), (3, 2, 2)])
 def test_ext_pow_and_inv_agree_with_repeated_mul(p, s, r):
     # F_7^3 and F_9^2: digit-tuple powers against a product of e factors

@@ -7,7 +7,8 @@ import pytest
 
 from charsums import make_ext, make_field
 from charsums.charsum import AdditiveChar, sum_additive
-from charsums.errors import NotInvariant
+from charsums.errors import NotInvariant, ZeroPoly
+from charsums.ffield import FieldCtx
 from charsums.invariance import (
     artin_schreier_poly,
     as_reduce,
@@ -16,7 +17,7 @@ from charsums.invariance import (
     homothety_invariant_pointwise,
     mth_power_test,
 )
-from charsums.polyring import Poly, compose, random_poly, root_structure, shift
+from charsums.polyring import Poly, compose, is_squarefree, random_poly, root_structure, shift
 
 F5 = make_field(5, 1)
 F7 = make_field(7, 1)
@@ -216,3 +217,36 @@ def test_mth_power_against_splitting_oracle():
             assert rs.splits_completely
             expect_power = all(mm % m == 0 for mm in rs.multiplicities)
             assert got == (expect_power, len(rs.roots))
+
+
+def test_memoized_analyses_equal_fresh_computation():
+    # is_squarefree, as_reduce and mth_power_test keep their answers: on g
+    # over k and over k_r each must equal the undecorated function, also
+    # for an equal g built apart, squares and p-th powers included
+    rng = random.Random(27)
+    for ctx in (F7, make_field(3, 2), make_ext(F5, 2), make_ext(make_field(2, 2), 3)):
+        p = ctx.p
+        for _ in range(12):
+            g = random_poly(ctx, rng.randrange(1, 7), rng, monic=rng.random() < 0.5)
+            # g(x^p): the leading degree is divisible by p
+            frob = Poly(ctx, tuple(0 if i % p else g.coeff(i // p) for i in range(p * g.degree + 1)))
+            for h in (g, g * g, frob):
+                twin = Poly(ctx, tuple(h.coeffs))
+                assert is_squarefree(h) == is_squarefree.__wrapped__(h) == is_squarefree(twin)
+                for m in (1, 2, 3):
+                    fresh = mth_power_test.__wrapped__(h, m)
+                    assert mth_power_test(h, m) == fresh == mth_power_test(twin, m)
+                if isinstance(ctx, FieldCtx):
+                    psi = AdditiveChar(ctx, rng.randrange(1, ctx.q))
+                    assert as_reduce(h, psi) == as_reduce.__wrapped__(h, psi) == as_reduce(twin, psi)
+            assert not is_squarefree(g * g)
+
+
+def test_memoized_analyses_raise_on_the_zero_polynomial_every_call():
+    for ctx in (F7, make_ext(F5, 2)):
+        zero = Poly.zero(ctx)
+        for _ in range(3):
+            with pytest.raises(ZeroPoly):
+                is_squarefree(zero)
+            with pytest.raises(ZeroPoly):
+                mth_power_test(zero, 2)
