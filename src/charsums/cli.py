@@ -519,14 +519,14 @@ def _run_cell(config, base, ext, psi, d, e, trial, pool, drawn):
         raise ConfigInvalid([f"e = {e} does not divide q - 1 = {q - 1}"])
     ctx = ext if hom else base
     # explicit coefficients (d is None) give one g per ctx
-    key = (ctx, None if d is None else _row_seed(config.seed, ctx.size, d, trial))
-    g = drawn.get(key)
+    row_seed = None if d is None else _row_seed(config.seed, ctx.size, d, trial)
+    g = drawn.get((ctx, row_seed))
     if g is None:
         if d is None:
             g = poly_from_text(ctx, config.poly_coeffs)
         else:
-            g = gen_poly(ctx, d, config.constraints, random.Random(key[1]))
-        drawn[key] = g
+            g = gen_poly(ctx, d, config.constraints, random.Random(row_seed))
+        drawn[ctx, row_seed] = g
     additive = kind.endswith("Add")
     char = psi if additive else MultChar.of_order(base, config.char_m)
     m = 0 if additive else char.order
