@@ -471,8 +471,8 @@ def run(config: ExperimentConfig, pool=None) -> list[ResultRow]:
     (ctx, row seed), the row seed being `_row_seed(config.seed, ctx.size,
     d, trial)`: a g over k (Trans, Weil) has a key free of r and is drawn
     for the first r only, a g over k_r (Hom) has ctx = k_r in its key and
-    is drawn at each r.  `_run_cell` fills the dict, so the draw is timed
-    inside the row that first needs it.
+    is drawn at each r, once for every e.  `_run_cell` fills the dict, so
+    the draw is timed inside the row that first needs it.
     """
     base = make_field(config.p, config.s, seed=0)
     psi = AdditiveChar(base, config.char_b % base.q)

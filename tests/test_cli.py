@@ -502,7 +502,7 @@ def test_each_g_is_drawn_once_per_config(kind, monkeypatch):
     assert len(rows) == len(cells) * 2 * (2 if hom else 1)
     if hom:
         # once per (r, d, trial)
-        assert [(ctx.r, d) for ctx, d in calls] == [cell for cell in cells for _ in range(2)]
+        assert [(ctx.r, d) for ctx, d in calls] == [c for c in cells for _ in range(2)]
     else:
         # once per (d, trial), all over k
         assert calls == [(make_field(7, 1), d) for d in (2, 3) for _ in range(2)]
