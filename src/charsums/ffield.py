@@ -15,14 +15,19 @@ out as Frobenius sums/products directly.  F_{p^s} (s > 1) is itself the
 degree-s extension of F_p, with the same packing; its add/mul/neg
 tables serve FieldCtx and the kernel.  Up to TABLE_CAP they are stored,
 the product from k's discrete logs and the sum by base-p digit
-addition; above it they are computed on lookup, by k's own Zech tables
-(`_zech_ops`; by that extension's kernel above DLOG_CAP).  An
-extension with q^r <= DLOG_CAP has Zech-logarithm tables over its
-generator (`ExtCtx._logs`: log, 1 + gamma^n and trace, as arrays),
-built in one walk on first use (a block of exponents at a time from
-BLOCK_FLOOR elements on), on which `charsum`'s log kernel runs; its
-frobsub sums read the Frobenius orbits of ker Tr on exponents
-(`ExtCtx._h_orbits`), listed from the trace table once per extension.
+addition; above it FieldCtx computes as that extension, and its tables
+are computed on lookup.  An extension with q^r <= DLOG_CAP has
+Zech-logarithm tables over its generator (`ExtCtx._logs`: log,
+1 + gamma^n and trace, as arrays), built in one walk on first use (a
+block of exponents at a time from BLOCK_FLOOR elements on), on which
+`charsum`'s log kernel runs; its frobsub sums read the Frobenius orbits
+of ker Tr on exponents (`ExtCtx._h_orbits`), listed from the trace
+table once per extension.  Once the tables exist, the extension's
+arithmetic (ZECH_OPS: add, sub, neg, mul, axpy, inv, pow_, frobenius,
+trace_to_base, norm_to_base) runs on them (`_zech_arith`, with the
+array exp[n] = gamma^n built on the first such call); before, and
+above DLOG_CAP, it runs on the digit kernel, which the walks that build
+the tables and the generator search use.
 They are the only discrete-log tables: k's logs (`FieldCtx._log`) are
 the `log` array of F_p at r = 1 or of F_{p^s} as its extension of F_p.
 `make_field` and `make_ext` share one seeded search for modulus and
@@ -278,13 +283,12 @@ class FieldCtx:
 
     @cached_property
     def _ops(self):
-        # mul, add, sub, neg and pow_ of an F_{p^s} above TABLE_CAP, by k's
-        # own Zech tables (`_zech_ops`); above DLOG_CAP, where none exist,
-        # by the extension's kernel
-        if self.q > DLOG_CAP:
-            ext = self._ext
-            return SimpleNamespace(mul=ext.mul, add=ext.add, sub=ext.sub, neg=ext.neg, pow_=ext.pow_)
-        return _zech_ops(self)
+        # an F_{p^s} above TABLE_CAP computes as its extension of F_p: on
+        # that extension's Zech tables, built here, up to DLOG_CAP, and by
+        # its digit kernel above
+        if self.q <= DLOG_CAP:
+            self._ext._zech
+        return self._ext
 
     @cached_property
     def _log(self):
@@ -326,8 +330,7 @@ class FieldCtx:
             p = self.p
             return [(y + u * x) % p for x, y in zip(xs, ys)]
         if self.q > TABLE_CAP:
-            add, mul = self._ops.add, self._ops.mul
-            return [add(y, mul(u, x)) for x, y in zip(xs, ys)]
+            return self._ops.axpy(u, xs, ys)
         at, row = self._add_tab, self._mul_tab[u]
         return [at[y][row[x]] for x, y in zip(xs, ys)]
 
@@ -346,8 +349,11 @@ class FieldCtx:
         return self.pow_(a, self.q - 2)
 
     def abs_trace(self, a: int) -> int:
-        """Trace from k down to F_p as a lifted int in [0, p), computed by
-        the extension kernel; `charsum._psi_table` caches what it builds."""
+        """Trace from k down to F_p as a lifted int in [0, p): for F_{p^s},
+        the trace of its extension of F_p, one read of that extension's
+        trace table once its Zech tables exist (they do as soon as k has
+        stored tables or logs) and by its digit kernel before and above
+        DLOG_CAP; `charsum._psi_table` caches what it builds."""
         if self.s == 1:
             return a
         return self._ext.trace_to_base(a)
@@ -383,45 +389,6 @@ def make_field(p: int, s: int, seed: int = 0) -> FieldCtx:
         object.__setattr__(ctx, "_ext", ext)
     _CONTEXTS[(p, s, seed)] = ctx
     return ctx
-
-
-def _zech_ops(k: FieldCtx) -> SimpleNamespace:
-    """mul, add, sub, neg and pow_ of F_{p^s} on packed values by k's own
-    Zech tables (`k._ext._logs`) and exp[n] = gamma^n, the trace array of
-    k at r = 1: a b = exp[log a + log b], and for a, b != 0, a + b =
-    a (1 + b / a) = exp[log a + zech[log b - log a]], 0 where zech is -1.
-    At p = 2 a sum is the XOR of the packed values and -a = a; at odd p,
-    -1 = gamma^(N/2), N = q - 1."""
-    tabs, exp, units = k._ext._logs, make_ext(k, 1)._logs.trace, k.q - 1
-    log, zech, half = tabs.log, tabs.zech, units // 2
-
-    def mul(a, b):
-        return exp[(log[a] + log[b]) % units] if a and b else 0
-
-    def pow_(a, e):
-        if a:
-            return exp[log[a] * e % units]
-        if e < 0:
-            raise ZeroElement("inverse of zero")
-        return 0 if e else 1
-
-    if k.p == 2:
-        return SimpleNamespace(mul=mul, add=operator.xor, sub=operator.xor, neg=operator.pos, pow_=pow_)
-
-    def add(a, b):
-        if not (a and b):
-            return a or b
-        la = log[a]
-        z = zech[(log[b] - la) % units]
-        return exp[(la + z) % units] if z >= 0 else 0
-
-    def neg(a):
-        return exp[(log[a] + half) % units] if a else 0
-
-    def sub(a, b):
-        return add(a, neg(b))
-
-    return SimpleNamespace(mul=mul, add=add, sub=sub, neg=neg, pow_=pow_)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +444,29 @@ class ExtCtx:
 
     @cached_property
     def _logs(self):
-        return _log_tables(self)
+        tabs = _log_tables(self)
+        # from here on the arithmetic runs on these tables: each operation
+        # is a stub until the first call of any of them puts the table
+        # operations (`_zech`) in place of the digit kernel's methods
+        vars(self).update({name: lambda *args, name=name: self._zech[name](*args) for name in ZECH_OPS})
+        return tabs
+
+    @cached_property
+    def _zech(self):
+        ops = _zech_arith(self)
+        vars(self).update(ops)  # in place of the stubs `_logs` put there
+        return ops
+
+    @cached_property
+    def _exp(self):
+        # gamma^n by exponent n < N: the trace array at r = 1, and above it
+        # log inverted, on the first operation on the tables
+        if self.r == 1:
+            return self._logs.trace
+        exp = array("i", [0]) * (self.size - 1)
+        for v, n in enumerate(islice(self._logs.log, 1, None), 1):
+            exp[n] = v
+        return exp
 
     @cached_property
     def _h_orbits(self):
@@ -779,21 +768,21 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
     x -> gamma * x mod p, since the slot walk (`_slot_walk`) reads `_kops`,
     whose tables come from these logs.  A composite k at r = 1 shares log
     and zech with k's own tables (k as the extension of F_p, over the same
-    generator and packing), and its trace, gamma^n itself, inverts log;
-    above TABLE_CAP, k computes by these tables (`_zech_ops`).  Every
-    other field takes the block walk (`_block_walk`) from BLOCK_FLOOR
-    elements on, and the slot walk, whose fixed cost is lower, below.
+    generator and packing), and its trace, gamma^n itself, is the exp
+    array of those (`ExtCtx._exp`, log inverted).  Every other field takes
+    the block walk (`_block_walk`) from BLOCK_FLOOR elements on, and the
+    slot walk, whose fixed cost is lower, below.  No walk builds exp: at
+    r = 1 it is the trace array, and above, `ExtCtx._exp` inverts log on
+    the first operation on the tables (`_zech_arith`), so a field whose
+    tables serve only the log kernel never pays for it.
     """
     p, size = ext.p, ext.size
     if size > DLOG_CAP:
         raise FieldTooLarge(f"log tables capped at q^r <= 2^22, got q^r={size}")
     units = size - 1
     if ext.r == 1 and size > p:
-        own = ext.base._ext._logs
-        trace = array("i", [0]) * units
-        for v, n in enumerate(islice(own.log, 1, None), 1):
-            trace[n] = v
-        return SimpleNamespace(log=own.log, zech=own.zech, trace=trace)
+        own = ext.base._ext
+        return SimpleNamespace(log=own._logs.log, zech=own._logs.zech, trace=own._exp)
     log = array("i", [-1]) * size
     trace = array("i", [0]) * units
     zech = None
@@ -824,6 +813,55 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
         for a in range(0, units, BLOCK):
             zech[a:a + BLOCK] = array("i", [log[v] for v in zech[a:a + BLOCK]])
     return SimpleNamespace(log=log, zech=zech, trace=trace)
+
+
+# the operations of ExtCtx that run on its Zech tables once they exist
+ZECH_OPS = ("add", "sub", "neg", "mul", "axpy", "inv", "pow_", "frobenius", "trace_to_base", "norm_to_base")
+
+
+def _zech_arith(ext: ExtCtx) -> dict:
+    """The operations named in ZECH_OPS on the tables of k_r (`_logs`) and
+    exp[n] = gamma^n (`_exp`), N = q^r - 1: a b = exp[log a + log b], a^e
+    = exp[e log a], so x^q = exp[q log a] and the norm x^M = exp[M log a],
+    M = N / (q - 1), Tr(a) = trace[log a], and for a, b != 0, a + b =
+    a (1 + b / a) = exp[log a + zech[log b - log a]], 0 where zech is -1.
+    At p = 2 a sum is the XOR of the packed values and -a = a; at odd p,
+    -1 = gamma^(N/2)."""
+    tabs, exp, q, units = ext._logs, ext._exp, ext.base.q, ext.size - 1
+    log, zech, trace = tabs.log, tabs.zech, tabs.trace
+
+    def mul(a, b):
+        return exp[(log[a] + log[b]) % units] if a and b else 0
+
+    def pow_(a, e):
+        if a:
+            return exp[log[a] * e % units]
+        if e < 0:
+            raise ZeroElement("inverse of zero")
+        return 0 if e else 1
+
+    def norm_to_base(a):
+        n = pow_(a, units // (q - 1))
+        assert n < q  # lands in k
+        return n
+
+    if ext.p == 2:
+        add, neg = operator.xor, operator.pos
+    else:
+
+        def add(a, b):
+            if not (a and b):
+                return a or b
+            la = log[a]
+            z = zech[(log[b] - la) % units]
+            return exp[(la + z) % units] if z >= 0 else 0
+
+        def neg(a):
+            return exp[(log[a] + units // 2) % units] if a else 0
+
+    return dict(add=add, sub=lambda a, b: add(a, neg(b)), neg=neg, mul=mul, inv=lambda a: pow_(a, -1), pow_=pow_,
+                axpy=lambda u, xs, ys: [add(y, mul(u, x)) for x, y in zip(xs, ys)], frobenius=lambda a: pow_(a, q),
+                trace_to_base=lambda a: trace[log[a]] if a else 0, norm_to_base=norm_to_base)
 
 
 def _hyperplane_orbits(ext: ExtCtx) -> tuple[array, array]:

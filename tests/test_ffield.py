@@ -1,5 +1,6 @@
 """Field construction, trace/norm laws, enumeration and dlog."""
 
+import dataclasses
 import itertools
 import json
 import operator
@@ -483,15 +484,25 @@ F2_11 = (2, 11)
 F3_7 = (3, 7)
 
 
+def _digit_twin(ext):
+    # the same field as a context without Zech tables, which therefore
+    # computes by the digit kernel (contexts compare by content)
+    twin = dataclasses.replace(ext)
+    assert twin == ext and "_logs" not in vars(twin)
+    return twin
+
+
 @pytest.mark.parametrize("ps", [F37_2, F2_11, F3_7])
 def test_computed_tables_equal_the_extension_ops(ps):
-    # a composite k above TABLE_CAP computes by its own Zech tables: every
-    # FieldCtx op and every computed table entry against the digit kernel
-    # of k as its extension of F_p, on seeded pairs with zeros, and powers
-    # from negative exponents to exponents past q
+    # a composite k above TABLE_CAP computes as its extension of F_p, on
+    # that extension's Zech tables: every FieldCtx op and every computed
+    # table entry against the digit kernel of the extension, on seeded
+    # pairs with zeros, and powers from negative exponents to exponents
+    # past q
     k = make_field(*ps)
-    ext = k._ext
+    ext = _digit_twin(k._ext)
     assert k.q > TABLE_CAP
+    assert k._ops is k._ext and "_zech" in vars(k._ext)
     rng = random.Random(11)
     pairs = [(0, 0), (0, 1), (1, 0), (k.q - 1, 0), (0, k.q - 1), (1, k.p - 1)]
     pairs += [(rng.randrange(k.q), rng.randrange(k.q)) for _ in range(200)]
@@ -514,6 +525,95 @@ def test_computed_tables_equal_the_extension_ops(ps):
     xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
     for u in (0, 1, rng.randrange(k.q)):
         assert k.axpy(u, xs, ys) == ext.axpy(u, xs, ys)
+    assert "_logs" not in vars(ext)
+
+
+# (p, s, r) whose every pair of elements is checked: F_2^6 and F_3^4 over
+# F_p, F_4^3, F_7^2 and F_9^2, and at r = 1, where exp is the trace array,
+# F_13 and F_64
+ZECH_EVERY_PAIR = [(2, 1, 6), (3, 1, 4), (2, 2, 3), (7, 1, 2), (3, 2, 2), (13, 1, 1), (2, 6, 1)]
+
+
+def _zech_agrees_with_the_digit_kernel(ext, pairs):
+    # every ExtCtx operation on the tables against the digit kernel of a
+    # twin without tables, zeros and negative exponents included
+    ext._logs
+    twin = _digit_twin(ext)
+    units = ext.size - 1
+    for a, b in pairs:
+        for op in ("add", "sub", "mul"):
+            assert getattr(ext, op)(a, b) == getattr(twin, op)(a, b), (op, a, b)
+    for a in sorted({a for pair in pairs for a in pair}):
+        for op in ("neg", "frobenius", "trace_to_base", "norm_to_base"):
+            assert getattr(ext, op)(a) == getattr(twin, op)(a), (op, a)
+        for e in (0, 1, 2, ext.base.q, units, units + 1, -1, -2, -units - 3):
+            if a or e >= 0:
+                assert ext.pow_(a, e) == twin.pow_(a, e), (a, e)
+        if a:
+            assert ext.inv(a) == twin.inv(a)
+    xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
+    for u in (0, 1, ext.generator_r, units):
+        assert ext.axpy(u, xs, ys) == twin.axpy(u, xs, ys)
+    for path in (ext, twin):
+        with pytest.raises(ZeroElement):
+            path.inv(0)
+        with pytest.raises(ZeroElement):
+            path.pow_(0, -1)
+        assert path.pow_(0, 0) == 1 and path.pow_(0, 3) == 0
+    # ext ran every operation on its tables, and the twin none
+    assert "_zech" in vars(ext) and all(vars(ext)[name] is ext._zech[name] for name in ff.ZECH_OPS)
+    assert "_logs" not in vars(twin)
+
+
+@pytest.mark.parametrize("p, s, r", ZECH_EVERY_PAIR)
+def test_zech_arithmetic_equals_the_digit_kernel_on_every_pair(p, s, r):
+    ext = make_ext(make_field(p, s), r)
+    _zech_agrees_with_the_digit_kernel(ext, list(itertools.product(range(ext.size), repeat=2)))
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: make_ext(make_field(13, 1), 3), lambda: make_field(*F37_2)._ext, lambda: make_field(*F2_11)._ext],
+    ids=["F_13^3", "F_37^2._ext", "F_2^11._ext"],
+)
+def test_zech_arithmetic_equals_the_digit_kernel_on_sampled_pairs(build):
+    ext = build()
+    rng = random.Random(ext.size)
+    edge = [0, 1, ext.p - 1, ext.generator_r, ext.size - 1]
+    pairs = list(itertools.product(edge, repeat=2))
+    pairs += [(rng.randrange(ext.size), rng.randrange(ext.size)) for _ in range(300)]
+    _zech_agrees_with_the_digit_kernel(ext, pairs)
+
+
+def test_zech_norm_checks_that_it_lands_in_k():
+    # the norm read off the tables keeps the digit kernel's check that
+    # x^M lies in k: an exp array whose every power is outside k trips it
+    twin = _digit_twin(make_ext(make_field(7, 1), 2))
+    twin._logs
+    vars(twin)["_exp"] = array("i", [twin.size - 1]) * (twin.size - 1)
+    with pytest.raises(AssertionError):
+        twin.norm_to_base(3)
+
+
+def test_a_context_gives_the_same_values_before_and_after_its_tables():
+    ext = make_ext(make_field(5, 1), 3, seed=47)  # a context no other test uses
+    assert "_logs" not in vars(ext)
+    rng = random.Random(3)
+    pairs = [(0, 0), (0, 7), (7, 0)] + [(rng.randrange(ext.size), rng.randrange(ext.size)) for _ in range(60)]
+    xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
+
+    def values():
+        out = [(ext.add(a, b), ext.sub(a, b), ext.mul(a, b), ext.neg(a), ext.frobenius(a),
+                ext.trace_to_base(a), ext.norm_to_base(a), ext.pow_(a, 5)) for a, b in pairs]
+        out.append([ext.inv(a) for a in xs if a] + [ext.pow_(a, -2) for a in xs if a])
+        return out + [ext.axpy(u, xs, ys) for u in (0, 1, 2)]
+
+    before = values()
+    assert "_logs" not in vars(ext)  # the digit kernel alone
+    ext._logs
+    # the walks build no exp array: that waits for the first table operation
+    assert "_exp" not in vars(ext) and "_zech" not in vars(ext)
+    assert values() == before
+    assert "_exp" in vars(ext) and "_zech" in vars(ext)
 
 
 @pytest.mark.parametrize("ps", [F37_2, F2_11, (1031, 1)])
@@ -571,7 +671,7 @@ def test_k_logs_are_the_log_array_of_its_own_zech_tables(ps):
     owner = k._ext if k.s > 1 else make_ext(k, 1)
     assert k._log is owner._logs.log is make_ext(k, 1)._logs.log
     assert vars(k)["_log"] is k._log  # kept on k: a read looks up no context
-    mul = k.mul if k.s == 1 else k._ext.mul
+    mul = k.mul if k.s == 1 else _digit_twin(k._ext).mul
     log, x = k._log, 1
     assert log[0] == -1
     for i in range(k.q - 1):
@@ -712,15 +812,15 @@ def test_log_tables_walk_the_unit_group(p, s, r):
     # log is a bijection of k_r^* onto Z/N, and 0 has the sentinel
     assert tabs.log[0] == -1 and sorted(tabs.log[1:]) == list(range(units))
     assert len(tabs.zech) == len(tabs.trace) == units
-    x = 1
+    x, digit = 1, _digit_twin(ext)  # the digit kernel is the oracle
     for n in range(units):
         assert tabs.log[x] == n
-        assert tabs.trace[n] == ext.trace_to_base(x)
-        y = ext.add(1, x)
+        assert tabs.trace[n] == digit.trace_to_base(x)
+        y = digit.add(1, x)
         assert tabs.zech[n] == (tabs.log[y] if y else -1)
-        x = ext.mul(x, ext.generator_r)
+        x = digit.mul(x, ext.generator_r)
     assert x == 1  # gamma^N returns to 1
-    assert ext.pow_(ext.generator_r, tabs.log[ext.p - 1]) == ext.neg(1)
+    assert digit.pow_(ext.generator_r, tabs.log[ext.p - 1]) == digit.neg(1)
 
 
 def test_log_tables_are_capped():
