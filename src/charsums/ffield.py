@@ -593,10 +593,14 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
     Two bodies: plain ints mod p for a prime base field above TABLE_CAP,
     and otherwise lookups in the base field's `_add_tab`, `_mul_tab` and
     `_neg_tab`, stored or computed (see `_kops_flavor`).  Each body has
-    its own emul, eadd, esub, efrob and etr; efrob and etr take dot
-    products with the rows of the Frobenius matrix `fb` and with the
-    trace functional `trv`, which are built after the bodies from emul
-    and efrob.
+    its own emul, eadd, esub, efrob and etr, and its own `rows`, the form
+    in which it reads the k-linear maps it applies: the reduction rows
+    `red`, the Frobenius matrix `fb` and the trace functional `trv`, the
+    last two built after the bodies from emul and efrob.  The mod-p body
+    reads the rows as they are, in integer dot products reduced mod p.
+    The table body keeps, per row, the pairs (j, _mul_tab[c]) of its
+    nonzero entries c, and folds at[t][m[x_j]] over them: no zero test
+    and no per-call list.
     """
     base = ext.base
     r = ext.r
@@ -657,10 +661,17 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         def kadd(a, b):
             return (a + b) % p
 
+        rows = tuple
+
     else:
         mt = base._mul_tab
         at = base._add_tab
         nt = base._neg_tab
+
+        def rows(vec):
+            # the nonzero entries c of a row as (j, _mul_tab[c]): its dot
+            # product with x folds at[t][m[x[j]]] over them
+            return tuple([(j, mt[c]) for j, c in enumerate(vec) if c])
 
         def emul(a, b):
             t = [0] * (2 * r - 1)
@@ -673,11 +684,8 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
             for idx in range(2 * r - 2, r - 1, -1):
                 c = t[idx]
                 if c:
-                    mt_c = mt[c]
-                    row = red[idx - r]
-                    for j, rv in enumerate(row):
-                        if rv:
-                            t[j] = at[t[j]][mt_c[rv]]
+                    for j, m in red[idx - r]:
+                        t[j] = at[t[j]][m[c]]
             return tuple(t[:r])
 
         def eadd(a, b):
@@ -687,23 +695,18 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
             return tuple([at[x][nt[y]] for x, y in zip(a, b)])
 
         def efrob(x):
-            # the _mul_tab row of each nonzero digit, read for every row of fb
-            digits = [(mt[xj], j) for j, xj in enumerate(x) if xj]
             out = []
             for row in fb:
                 t = 0
-                for mt_xj, j in digits:
-                    c = row[j]
-                    if c:
-                        t = at[t][mt_xj[c]]
+                for j, m in row:
+                    t = at[t][m[x[j]]]
                 out.append(t)
             return tuple(out)
 
         def etr(x):
             t = 0
-            for xj, tj in zip(x, trv):
-                if xj and tj:
-                    t = at[t][mt[xj][tj]]
+            for j, m in trv:
+                t = at[t][m[x[j]]]
             return t
 
         def kmul(a, b):
@@ -712,13 +715,16 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         def kadd(a, b):
             return at[a][b]
 
+    # each map takes the body's row form before the first call that reads it:
+    # red before emul, fb before the trace loop calls efrob, trv before etr
+    red = tuple(map(rows, red))
     one = (1,) + (0,) * (r - 1)
     epow = partial(power, emul, one)
 
     # Frobenius matrix: FB[i][j] = digit i of (Y^q)^j mod m_r.  x = sum x_j Y^j
     # with x_j in k gives x^q = sum x_j (Y^q)^j, whose digit i is x . FB[i].
     yq = epow((0, 1) + (0,) * (r - 2), q) if r > 1 else one
-    fb = tuple(zip(*accumulate(repeat(yq, r - 1), emul, initial=one)))
+    fb = tuple(map(rows, zip(*accumulate(repeat(yq, r - 1), emul, initial=one))))
 
     # trace functional: TRV[j] = Tr_{k_r/k}(Y^j)
     trv = []
@@ -731,7 +737,7 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
             acc = eadd(acc, t)
         assert all(c == 0 for c in acc[1:]), "trace must land in k"
         trv.append(acc[0])
-    trv = tuple(trv)
+    trv = rows(trv)
 
     def enorm(x):
         # product of conjugates; Frobenius-fixed, so only digit 0 survives

@@ -314,9 +314,9 @@ def test_counting_identity_and_orthogonality():
         assert orthogonality_error(AdditiveChar.canonical(ctx)) < 1e-9 * p
 
 
-@pytest.mark.parametrize("p, s", [(13, 1), (3, 2)])
+@pytest.mark.parametrize("p, s", [(13, 1), (3, 2), (2, 2)])
 def test_counting_identity_fails_on_a_broken_frobenius_or_trace(p, s, monkeypatch):
-    # over F_13^3 and F_9^3: a Frobenius that swaps the images of 0 and Y,
+    # over F_13^3, F_9^3 and F_4^3: a Frobenius that swaps the images of 0 and Y,
     # or a trace that calls one trace-zero t nonzero, must fail the count
     ext = make_ext(make_field(p, s, seed=0), 3, seed=0)
     ko = ext._kops

@@ -853,9 +853,10 @@ def _kernel_matches_polyring(k, r, samples):
         assert ko.emul(a, b) == digits(divrem(pa * pb, m)[1])
         assert ko.esub(a, b) == digits(pa - pb)
         conj = [pa]
-        for _ in range(r - 1):
+        for _ in range(r):
             conj.append(_powmod(conj[-1], k.q, m))
         assert ko.efrob(a) == digits(conj[1])
+        assert digits(conj.pop()) == a  # x^(q^r) = x; the r conjugates remain
         in_k = (0,) * (r - 1)
         assert digits(reduce(operator.add, conj)) == (ko.etr(a),) + in_k
         assert digits(reduce(lambda f, g: divrem(f * g, m)[1], conj)) == (ko.enorm(a),) + in_k
@@ -868,11 +869,23 @@ def test_kernel_over_computed_tables_matches_polyring():
 
 
 @pytest.mark.parametrize(
-    "p, s, r, flavor", [(13, 1, 3, "table"), (3, 2, 3, "table"), (1031, 1, 2, "modp")]
+    "p, s, r, flavor",
+    [
+        (13, 1, 3, "table"),
+        (3, 2, 3, "table"),
+        (2, 2, 3, "table"),
+        (5, 1, 5, "table"),
+        (7, 1, 1, "table"),
+        (2, 1, 10, "table"),
+        (1031, 1, 2, "modp"),
+    ],
 )
 def test_both_kernel_bodies_match_polyring(p, s, r, flavor):
-    # the table body (F_13^3, F_9^3) and the mod-p body (F_1031^2), each
-    # with its own efrob and etr
+    # the table body and the mod-p body (F_1031^2), each with its own
+    # efrob and etr.  The table body skips the zero entries of its rows:
+    # F_9^3 has trace functional (0, 8, 0), F_5^5 (0, 4, 2, 3, 0), 69 of
+    # the 100 Frobenius entries of F_2^10 are 0, F_4^3 has a composite
+    # base at p = 2, and at r = 1 (F_7) the Frobenius is the identity
     k = make_field(p, s)
     assert _kops_flavor(k) == flavor
     _kernel_matches_polyring(k, r, 200)
