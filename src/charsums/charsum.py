@@ -248,34 +248,29 @@ def _tally(ext, mode, coeffs, inner, points) -> list[int]:
     since x^q - x is q-to-1 onto them (see `_walk`)."""
     ko = ext._kops
     q = ext.base.q
-    emul, eadd, etr, enorm = ko.emul, ko.eadd, ko.etr, ko.enorm
+    emul, eadd, etr = ko.emul, ko.eadd, ko.etr
     lead, *rest = reversed(coeffs)
-    counts = [0] * q
-
-    if mode == "D":
-        # u -> a + u * tau is a bijection of k when tau != 0, and a when tau = 0
-        spread = 0
-        for t, w in points:
-            if etr(t):
-                spread += w
-                continue
-            acc = lead
-            for c in rest:
-                acc = eadd(emul(acc, t), c)
-            counts[etr(acc)] += q * w
-        return [c + spread for c in counts]
-
-    index = etr if mode == "S" else enorm
+    index = ko.enorm if mode == "U" else etr
     if inner == ("frobsub",):
         points = ((x, q * w) for x, w in points if not etr(x))
     elif inner is not None:
         epow, n = ko.epow, inner[1]
         points = ((epow(x, n), w) for x, w in points)
+    # mode D: u -> a + u Tr(t) is a bijection of k when Tr(t) != 0, so t
+    # adds w to every bucket (spread); when Tr(t) = 0 it adds q w to bucket a
+    d_mode = mode == "D"
+    counts = [0] * q
+    spread = 0
     for t, w in points:
+        if d_mode and etr(t):
+            spread += w
+            continue
         acc = lead
         for c in rest:
             acc = eadd(emul(acc, t), c)
         counts[index(acc)] += w
+    if d_mode:
+        return [c * q + spread for c in counts]
     return counts
 
 

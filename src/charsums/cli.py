@@ -666,7 +666,13 @@ def check_identity(kind: str, p: int, s: int, r: int, seed: int, trials: int) ->
 def _build_parser():
     import argparse
 
-    ap = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        # a bad argument is one error line and exit 2, like every bad input;
+        # subparsers are made of this class too
+        def error(self, message):
+            raise CharsumsError(message)
+
+    ap = Parser(
         prog="charsums",
         description="Character-sum oracles and improved Weil-type bound verification.",
     )
@@ -715,7 +721,11 @@ def _open_out(path: str | None):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except CharsumsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     bad = [f"--{name}" for name in _POSITIVE_ARGS.get(args.command, ()) if getattr(args, name) < 1]
     if bad:
         print(f"error: {', '.join(bad)} must be >= 1", file=sys.stderr)

@@ -14,20 +14,22 @@ k[Y]/(m_r)), not rebuilt over F_p, so trace and norm relative to k come
 out as Frobenius sums/products directly.  F_{p^s} (s > 1) is itself the
 degree-s extension of F_p, with the same packing; its add/mul/neg
 tables serve FieldCtx and the kernel.  Up to TABLE_CAP they are stored,
-the product from k's discrete logs and the sum by base-p digit
-addition; above it FieldCtx computes as that extension, and its tables
-are computed on lookup.  An extension with q^r <= DLOG_CAP has
-Zech-logarithm tables over its generator (`ExtCtx._logs`: log,
-1 + gamma^n and trace, as arrays), built in one walk on first use (a
-block of exponents at a time from BLOCK_FLOOR elements on), on which
-`charsum`'s log kernel runs; its frobsub sums read the Frobenius orbits
-of ker Tr on exponents (`ExtCtx._h_orbits`), listed from the trace
-table once per extension.  Once the tables exist, the extension's
-arithmetic (ZECH_OPS: add, sub, neg, mul, axpy, inv, pow_, frobenius,
-trace_to_base, norm_to_base) runs on them (`_zech_arith`, with the
-array exp[n] = gamma^n built on the first such call); before, and
-above DLOG_CAP, it runs on the digit kernel, which the walks that build
-the tables and the generator search use.
+the product from k's powers of its generator rotated by discrete logs
+and the sum by base-p digit addition; above it FieldCtx computes as that
+extension, and its tables are computed on lookup.  Powers and inverses
+in F_{p^s} always run as that extension.  An extension with q^r <=
+DLOG_CAP has Zech-logarithm tables over its generator (`ExtCtx._logs`:
+log, 1 + gamma^n and trace, as arrays), log and trace from one walk on
+first use (a block of exponents at a time from BLOCK_FLOOR elements
+on) and zech read off log, on which `charsum`'s log kernel runs; its
+frobsub sums read the Frobenius orbits of ker Tr on exponents
+(`ExtCtx._h_orbits`), listed from the trace table once per extension.
+Once the tables exist, the extension's arithmetic (ZECH_OPS: add, sub,
+neg, mul, axpy, inv, pow_, frobenius, trace_to_base, norm_to_base) runs
+on them (`_zech_arith`, with the array exp[n] = gamma^n built on the
+first such call); before, and above DLOG_CAP, it runs on the digit
+kernel, which the walks that build the tables and the generator search
+use.
 They are the only discrete-log tables: k's logs (`FieldCtx._log`) are
 the `log` array of F_p at r = 1 or of F_{p^s} as its extension of F_p.
 `make_field` and `make_ext` share one seeded search for modulus and
@@ -247,18 +249,19 @@ class FieldCtx:
 
     # _add_tab, _mul_tab and _neg_tab serve every field but a prime one
     # above TABLE_CAP, which has none (None) and computes mod p instead.
-    # Stored tables cost no kernel product: _mul_tab comes from `_log` and
+    # Stored tables cost no kernel product: _mul_tab rotates k's powers of
+    # its generator (`ExtCtx._exp` of the context holding k's logs) and
     # _add_tab adds base-p digits, each row by one itemgetter read
     @cached_property
     def _mul_tab(self):
         if self.q > TABLE_CAP:
             return self._computed("mul") if self.s > 1 else None
-        log, q = self._log, self.q
-        exp = sorted(range(1, q), key=log.__getitem__)
+        log = self._log
+        exp = (self._ext if self.s > 1 else make_ext(self, 1))._exp
         # a * b = exp[log a + log b]: exp rotated by log a, read at log b,
-        # behind a 0 for b = 0
-        at = itemgetter(0, *[1 + n for n in log[1:]])
-        return [[0] * q] + [list(at([0] + exp[la:] + exp[:la])) for la in log[1:]]
+        # with a 0 behind it, which b = 0 reads at log 0 = -1
+        at, zero = itemgetter(*log), array("i", [0])
+        return [[0] * self.q] + [list(at(exp[la:] + exp[:la] + zero)) for la in log[1:]]
 
     @cached_property
     def _add_tab(self):
@@ -283,9 +286,9 @@ class FieldCtx:
 
     @cached_property
     def _ops(self):
-        # an F_{p^s} above TABLE_CAP computes as its extension of F_p: on
-        # that extension's Zech tables, built here, up to DLOG_CAP, and by
-        # its digit kernel above
+        # an F_{p^s} computes pow_ and inv, and above TABLE_CAP every
+        # operation, as its extension of F_p: on that extension's Zech
+        # tables, built here, up to DLOG_CAP, and by its digit kernel above
         if self.q <= DLOG_CAP:
             self._ext._zech
         return self._ext
@@ -335,18 +338,18 @@ class FieldCtx:
         return [at[y][row[x]] for x, y in zip(xs, ys)]
 
     def pow_(self, a: int, e: int) -> int:
-        if self.s > 1 and self.q > TABLE_CAP:
+        if self.s > 1:
             return self._ops.pow_(a, e)
         if e < 0:
             a, e = self.inv(a), -e
-        if self.s == 1:
-            return pow(a, e, self.p)
-        return power(self.mul, 1, a, e)
+        return pow(a, e, self.p)
 
     def inv(self, a: int) -> int:
+        if self.s > 1:
+            return self._ops.inv(a)
         if a == 0:
             raise ZeroElement("inverse of zero")
-        return self.pow_(a, self.q - 2)
+        return pow(a, self.p - 2, self.p)
 
     def abs_trace(self, a: int) -> int:
         """Trace from k down to F_p as a lifted int in [0, p): for F_{p^s},
@@ -460,7 +463,8 @@ class ExtCtx:
     @cached_property
     def _exp(self):
         # gamma^n by exponent n < N: the trace array at r = 1, and above it
-        # log inverted, on the first operation on the tables
+        # log inverted, on the first operation on the tables or the first
+        # stored _mul_tab of the F_{p^s} that this context is the `_ext` of
         if self.r == 1:
             return self._logs.trace
         exp = array("i", [0]) * (self.size - 1)
@@ -658,9 +662,6 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         def kmul(a, b):
             return a * b % p
 
-        def kadd(a, b):
-            return (a + b) % p
-
         rows = tuple
 
     else:
@@ -712,9 +713,6 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         def kmul(a, b):
             return mt[a][b]
 
-        def kadd(a, b):
-            return at[a][b]
-
     # each map takes the body's row form before the first call that reads it:
     # red before emul, fb before the trace loop calls efrob, trv before etr
     red = tuple(map(rows, red))
@@ -757,7 +755,6 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
         etr=etr,
         enorm=enorm,
         kmul=kmul,
-        kadd=kadd,
         one=one,
     )
 
@@ -765,10 +762,11 @@ def _build_kops(ext: ExtCtx) -> SimpleNamespace:
 def _log_tables(ext: ExtCtx) -> SimpleNamespace:
     """Zech-logarithm tables of k_r over gamma = generator_r, q^r <= DLOG_CAP.
 
-    With N = q^r - 1, three array('i') tables come from one walk n -> gamma^n:
-    log[v] = n for the packed value v of gamma^n (log[0] = -1); trace[n] =
-    Tr_{k_r/k}(gamma^n), packed in k; and zech[n] = log(1 + gamma^n), -1
-    where 1 + gamma^n = 0, that is at n = log[p - 1] (gamma^n = -1).
+    With N = q^r - 1, two array('i') tables come from one walk n -> gamma^n:
+    log[v] = n for the packed value v of gamma^n (log[0] = -1), and
+    trace[n] = Tr_{k_r/k}(gamma^n), packed in k.  The third, zech[n] =
+    log(1 + gamma^n), -1 where 1 + gamma^n = 0, that is at n = log[p - 1]
+    (gamma^n = -1), is read off log for every walk.
 
     F_p at r = 1, whose `log` is k's own (`FieldCtx._log`), walks
     x -> gamma * x mod p, since the slot walk (`_slot_walk`) reads `_kops`,
@@ -779,8 +777,9 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
     the block walk (`_block_walk`) from BLOCK_FLOOR elements on, and the
     slot walk, whose fixed cost is lower, below.  No walk builds exp: at
     r = 1 it is the trace array, and above, `ExtCtx._exp` inverts log on
-    the first operation on the tables (`_zech_arith`), so a field whose
-    tables serve only the log kernel never pays for it.
+    the first operation on the tables (`_zech_arith`) or, for F_{p^s} as
+    its extension of F_p, on its first stored `FieldCtx._mul_tab`, so an
+    extension whose tables serve only the log kernel never pays for it.
     """
     p, size = ext.p, ext.size
     if size > DLOG_CAP:
@@ -791,7 +790,6 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
         return SimpleNamespace(log=own._logs.log, zech=own._logs.zech, trace=own._exp)
     log = array("i", [-1]) * size
     trace = array("i", [0]) * units
-    zech = None
     if size == p:
         g, v = ext.generator_r, 1
         for k in range(units):
@@ -801,23 +799,17 @@ def _log_tables(ext: ExtCtx) -> SimpleNamespace:
     elif size < BLOCK_FLOOR:
         v = _slot_walk(ext, log, trace)
     else:
-        zech = array("i", [0]) * units
-        v = _block_walk(ext, log, trace, zech)
+        v = _block_walk(ext, log, trace)
     # gamma^N = 1, and the walk met every unit exactly once
     if v != 1 or log[0] != -1 or log.count(-1) != 1:
         raise RuntimeError(f"generator {ext.generator_r} of {ext!r} does not have order {units}")
 
-    if zech is None:
-        # 1 + x raises the lowest base-p digit of the packed value by one mod p
-        up = log[1:] + log[:1]
-        up[p - 1::p] = log[::p]
-        zech = array("i", [0]) * units
-        for a, z in zip(islice(log, 1, None), islice(up, 1, None)):
-            zech[a] = z
-    else:
-        # the block walk left the packed value of 1 + gamma^n there: read its log
-        for a in range(0, units, BLOCK):
-            zech[a:a + BLOCK] = array("i", [log[v] for v in zech[a:a + BLOCK]])
+    # 1 + x raises the lowest base-p digit of the packed value by one mod p
+    up = log[1:] + log[:1]
+    up[p - 1::p] = log[::p]
+    zech = array("i", [0]) * units
+    for a, z in zip(islice(log, 1, None), islice(up, 1, None)):
+        zech[a] = z
     return SimpleNamespace(log=log, zech=zech, trace=trace)
 
 
@@ -953,9 +945,9 @@ def _digit_rows(ext: ExtCtx, c: int) -> list[list[int]]:
     return [list(row) for row in zip(*cols)]
 
 
-def _block_walk(ext: ExtCtx, log, trace, succ) -> int:
-    """Fill log, trace and succ[n] = the packed value of 1 + gamma^n by the
-    walk n -> gamma^n, a block of exponents at a time, and return gamma^N.
+def _block_walk(ext: ExtCtx, log, trace) -> int:
+    """Fill log and trace by the walk n -> gamma^n, a block of exponents at
+    a time, and return gamma^N.
 
     Each base-p digit of gamma^n is a lane of one int, one lane of `width`
     bits per exponent of the block, and a block has the least power of two
@@ -966,9 +958,8 @@ def _block_walk(ext: ExtCtx, log, trace, succ) -> int:
     digit 0 is checked against gamma times the block.  A lane then holds at
     most top = n (p - 1)^2, and every lane is reduced mod p at once by
     x - p ((x m >> k) & low), exact since top * p < 2^k and top * m <
-    2^width.  The packed values, the traces (a linear combination of the
-    digit ints) and the packed values of 1 + gamma^n are read out a block
-    at a time as arrays.
+    2^width.  The packed values and the traces (a linear combination of
+    the digit ints) are read out a block at a time as arrays.
     """
     p, size, s = ext.p, ext.size, ext.base.s
     # the least power of two >= q^r, at most BLOCK
@@ -1013,12 +1004,10 @@ def _block_walk(ext: ExtCtx, log, trace, succ) -> int:
     step = _digit_rows(ext, c) if lanes < size else None  # one block holds a small field
     for e in range(0, size, lanes):
         count = min(lanes, size - 1 - e)  # the exponents of this block below N
-        pv = packed(x)
-        values = read(pv, lanes)
+        values = read(packed(x), lanes)
         for i, v in enumerate(values[:count], e):
             log[v] = i
         trace[e:e + count] = read(packed(apply(trace_rows, x)), count)
-        succ[e:e + count] = read(pv - x[0] + reduce(x[0] + ones), count)
         if count < lanes:  # the next lane holds exponent N
             return values[count]
         x = apply(step, x)

@@ -616,12 +616,19 @@ def test_translation_rows_of_a_constant_g(tmp_path, capsys, kind):
         (["check-identity", "orthogonality", "--p", "2", "--s", "14"], "above the cap"),
         (["check-identity", "reassembly-add", "--p", "4194319", "--r", "1"], "needs q <= 2^22"),
         (["check-identity", "reassembly-mult", "--p", "4194319", "--r", "1"], "needs q <= 2^22"),
+        # argparse's own errors
+        (["gen", "--p", "7", "--d", "2"], "arguments are required: --seed"),
+        (["check-identity", "nosuch"], "invalid choice: 'nosuch'"),
+        (["check-identity", "gauss", "--p", "x"], "argument --p: invalid int value: 'x'"),
+        (["run"], "arguments are required: config"),
+        (["frob"], "invalid choice: 'frob'"),
     ],
     ids=["s-zero", "r-zero", "counting-r-zero", "r-negative", "trials-zero",
          "trials-negative", "gen-s-zero", "gen-d-zero", "gen-d-negative", "gen-odd-even-d",
          "gen-odd-nonzero-constant", "gauss-F2", "reassembly-add-F2", "reassembly-mult-F2",
          "reassembly-mult-F4", "orthogonality-q2-cap", "reassembly-add-log-cap",
-         "reassembly-mult-log-cap"],
+         "reassembly-mult-log-cap", "gen-no-seed", "unknown-identity", "p-not-int",
+         "run-no-config", "unknown-command"],
 )
 def test_bad_identity_and_gen_arguments_are_one_error_line(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "make_ext", lambda *a, **k: pytest.fail("an extension was built"))
@@ -633,6 +640,15 @@ def test_bad_identity_and_gen_arguments_are_one_error_line(capsys, monkeypatch, 
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: charsums") and captured.err == ""
 
 
 def test_run_unwritable_out_fails_before_enumerating(tmp_path, capsys, monkeypatch):

@@ -477,6 +477,28 @@ def test_power_rejects_a_negative_exponent():
     assert make_field(7, 1).pow_(3, -1) == 5
 
 
+@pytest.mark.parametrize("ps", [(2, 2), (2, 3), (3, 2), (2, 6), (2, 10)])
+def test_stored_table_pow_and_inv_equal_square_and_multiply(ps):
+    # pow_ and inv of a composite k up to TABLE_CAP read k._ext's Zech
+    # tables; the oracle is square-and-multiply over the stored tables,
+    # inverting first when e < 0, on every element and -q-1 <= e <= q+1
+    k = make_field(*ps)
+    q = k.q
+    assert q <= TABLE_CAP and isinstance(k._mul_tab, list)
+    powers = [[power(k.mul, 1, a, e) for e in range(q + 2)] for a in range(q)]
+    for a in range(q):
+        assert [k.pow_(a, e) for e in range(q + 2)] == powers[a], a
+        if a:
+            inv = powers[a][q - 2]
+            assert k.inv(a) == inv
+            assert [k.pow_(a, -e) for e in range(1, q + 2)] == powers[inv][1:], a
+    assert k._ops is k._ext and "_zech" in vars(k._ext)
+    with pytest.raises(ZeroElement):
+        k.inv(0)
+    with pytest.raises(ZeroElement):
+        k.pow_(0, -1)
+
+
 # the base field's add/mul/neg tables: stored lists up to TABLE_CAP,
 # computed on lookup above it, and none at all for a large prime field
 F37_2 = (37, 2)
@@ -787,9 +809,10 @@ def test_block_walk_never_returns_tables_from_a_wrong_multiplier(monkeypatch):
 
 
 # (p, s, r): r = 1 and r > 1, p = 2, composite bases, r = 1 on the mod-p
-# (F_1031) and generic (F_2048) flavours, and a block-built table (F_13^4)
+# (F_1031) and generic (F_2048) flavours, and block-built tables (F_13^4,
+# F_2^10 and F_4^5)
 LOG_FIELDS = [(2, 1, 1), (7, 1, 1), (2, 1, 5), (13, 1, 3), (3, 2, 3), (2, 2, 3), (1031, 1, 1), (2, 11, 1),
-              (13, 1, 4)]
+              (13, 1, 4), (2, 1, 10), (2, 2, 5)]
 
 
 @pytest.mark.parametrize("p, s, r", LOG_FIELDS)
