@@ -39,6 +39,7 @@ from .charsum import (
     DEFAULT_CAP,
     DOUBLE_CAP,
     MultChar,
+    _PARTS,
     counting_identity_holds,
     double_sum_check,
     fiber_sum_additive,
@@ -49,7 +50,7 @@ from .charsum import (
     sum_multiplicative,
 )
 from .errors import CharsumsError, ConfigInvalid, FieldTooLarge, Unsatisfiable
-from .ffield import DLOG_CAP, is_prime, make_ext, make_field
+from .ffield import DLOG_CAP, field_size, is_prime, make_ext, make_field
 from .invariance import as_reduce, mth_power_test
 from .polyring import (
     Poly,
@@ -446,10 +447,11 @@ def _make_row(rep, base, ext, g, m, S, weil, t0):
 
 class _LazyPool:
     """A process pool that starts on its first `map`: only the digit walks
-    above DLOG_CAP split into partitions, so most runs never start one."""
+    above DLOG_CAP split into partitions, so most runs never start one.
+    It starts at most `_PARTS` processes, the most tasks a walk splits into."""
 
     def __init__(self, workers: int):
-        self.workers = workers
+        self.workers = min(workers, _PARTS)
         self.executor = None
 
     def map(self, fn, iterable):
@@ -593,11 +595,21 @@ def check_identity(kind: str, p: int, s: int, r: int, seed: int, trials: int) ->
     if kind in ("gauss", "orthogonality") and base.q**2 > DOUBLE_CAP:
         raise FieldTooLarge(f"{kind} does q^2 = {base.q**2} steps, above the cap {DOUBLE_CAP}")
     if base.q == 2 and kind in ("gauss", "reassembly-add", "reassembly-mult"):
-        raise ConfigInvalid(f"{kind} checks nothing on F_2, whose unit group is trivial")
+        raise CharsumsError(f"{kind} checks nothing on F_2, whose unit group is trivial")
     if kind == "reassembly-mult" and base.q % 2 == 0:
-        raise ConfigInvalid(f"{kind} needs odd q: F_{base.q} has no quadratic character")
+        raise CharsumsError(f"{kind} needs odd q: F_{base.q} has no quadratic character")
     if kind.startswith("reassembly") and base.q > DLOG_CAP:
         raise FieldTooLarge(f"{kind} starts each norm fiber from k's log table, which needs q <= 2^22")
+    if kind in ("counting", "double-sum") or kind.startswith("reassembly"):
+        # the 63-bit bound, then the caps of counting_identity_holds and of the sums in
+        # their order: make_ext would first search a generator, factorizing q^r - 1
+        n = field_size(base.q, r)
+        if kind == "counting" and n > 10**4:
+            raise FieldTooLarge(f"exhaustive count capped at {10**4}, got {n}")
+        if kind != "counting" and n > DEFAULT_CAP:
+            raise FieldTooLarge(f"enumeration of {n} terms exceeds cap {DEFAULT_CAP}")
+        if kind == "double-sum" and n * base.q > DOUBLE_CAP:
+            raise FieldTooLarge(f"enumeration of {n * base.q} terms exceeds cap {DOUBLE_CAP}")
 
     if kind == "gauss":
         ok = True
@@ -655,7 +667,7 @@ def check_identity(kind: str, p: int, s: int, r: int, seed: int, trials: int) ->
         lines.append(f"{'PASS' if ok else 'FAIL'} {kind}: e in {divisors}, r={r}, F_{base.q}")
         return lines
 
-    raise ConfigInvalid([f"unknown identity kind {kind!r}"])
+    raise CharsumsError(f"unknown identity kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -720,77 +732,64 @@ def _open_out(path: str | None):
         raise CharsumsError(f"{path}: {exc.strerror}") from exc
 
 
-def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except CharsumsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _command(args) -> int:
+    """Run a parsed command and return its exit status: 0 when every check
+    passes, 1 when one fails.  A bad input raises, and `main` reports it."""
     bad = [f"--{name}" for name in _POSITIVE_ARGS.get(args.command, ()) if getattr(args, name) < 1]
     if bad:
-        print(f"error: {', '.join(bad)} must be >= 1", file=sys.stderr)
-        return 2
-
-    if args.command == "run":
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            print(f"error: {args.config}: {exc.strerror}", file=sys.stderr)
-            return 2
-        except ValueError as exc:  # malformed JSON or undecodable bytes
-            print(f"error: {args.config}: not a JSON config: {exc}", file=sys.stderr)
-            return 2
-        try:
-            for key in ("seed", "workers", "cap"):
-                val = getattr(args, key)
-                if val is not None and isinstance(data, dict):
-                    data[key] = val
-            config = parse_config(data)
-            with _open_out(args.out) as fh:
-                rows = run(config)
-                if args.out and args.out.endswith(".json"):
-                    json.dump([row.to_json() for row in rows], fh, indent=1)
-                else:
-                    fh.write(rows_to_csv(rows))
-        except ConfigInvalid as exc:
-            for msg in exc.messages:
-                print(f"config error: {msg}", file=sys.stderr)
-            return 2
-        except CharsumsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        ok = all_applicable_pass(rows)
-        applicable = sum(1 for row in rows if row.applicable)
-        print(
-            f"# {len(rows)} rows, {applicable} applicable, "
-            f"{'all pass' if ok else 'FAILURES PRESENT'}",
-            file=sys.stderr,
-        )
-        return 0 if ok else 1
+        raise CharsumsError(f"{', '.join(bad)} must be >= 1")
 
     if args.command == "check-identity":
-        try:
-            lines = check_identity(args.kind, args.p, args.s, args.r, args.seed, args.trials)
-        except CharsumsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        ok = all(line.startswith("PASS") for line in lines)
+        lines = check_identity(args.kind, args.p, args.s, args.r, args.seed, args.trials)
         print("\n".join(lines))
-        return 0 if ok else 1
+        return 0 if all(line.startswith("PASS") for line in lines) else 1
 
     if args.command == "gen":
         constraints = {k: getattr(args, k) for k in CONSTRAINT_KEYS if getattr(args, k)}
-        try:
-            ctx = make_field(args.p, args.s, seed=0)
-            g = gen_poly(ctx, args.d, constraints, random.Random(args.seed))
-        except CharsumsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(poly_to_text(g))
+        ctx = make_field(args.p, args.s, seed=0)
+        print(poly_to_text(gen_poly(ctx, args.d, constraints, random.Random(args.seed))))
         return 0
 
-    return 2
+    try:
+        with open(args.config) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise CharsumsError(f"{args.config}: {exc.strerror}") from exc
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise CharsumsError(f"{args.config}: not a JSON config: {exc}") from exc
+    for key in ("seed", "workers", "cap"):
+        val = getattr(args, key)
+        if val is not None and isinstance(data, dict):
+            data[key] = val
+    config = parse_config(data)
+    with _open_out(args.out) as fh:
+        rows = run(config)
+        if args.out and args.out.endswith(".json"):
+            json.dump([row.to_json() for row in rows], fh, indent=1)
+        else:
+            fh.write(rows_to_csv(rows))
+    ok = all_applicable_pass(rows)
+    applicable = sum(1 for row in rows if row.applicable)
+    print(
+        f"# {len(rows)} rows, {applicable} applicable, "
+        f"{'all pass' if ok else 'FAILURES PRESENT'}",
+        file=sys.stderr,
+    )
+    return 0 if ok else 1
+
+
+def main(argv=None) -> int:
+    """Every bad input ends here as exit 2: a failed config as one
+    `config error:` line per message, any other as one `error:` line."""
+    try:
+        return _command(_build_parser().parse_args(argv))
+    except ConfigInvalid as exc:
+        for msg in exc.messages:
+            print(f"config error: {msg}", file=sys.stderr)
+        return 2
+    except CharsumsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -367,10 +367,25 @@ class FieldCtx:
         return f"F_{self.p}^{self.s}"
 
 
+def field_size(q: int, r: int, names: str = "qr") -> int:
+    """q^r, the number of elements of F_{q^r}, if it is below 2^63; else Overflow.
+
+    With r * (bit_length(q) - 1) >= 63, q^r >= 2^63 is known without
+    forming it, which at r in the millions takes seconds.  The message
+    names q and r (by the letters in `names`), not the power.
+    """
+    if r * (q.bit_length() - 1) < 63 and q**r < MAX_CARD:
+        return q**r
+    b, e = names
+    raise Overflow(f"{b}^{e} does not fit in 63 bits: {b} = {q}, {e} = {r}")
+
+
 def make_field(p: int, s: int, seed: int = 0) -> FieldCtx:
     """F_{p^s} with a seeded irreducible modulus and a verified generator.
 
     One shared context per (p, s, seed); a bad argument raises on every call.
+    p^s >= 2^63 raises Overflow naming p and s, told by `field_size` from
+    bit lengths before a large p^s is formed.
     """
     ctx = _CONTEXTS.get((p, s, seed))
     if ctx is not None:
@@ -379,9 +394,7 @@ def make_field(p: int, s: int, seed: int = 0) -> FieldCtx:
         raise NotPrime(f"p={p} is not prime")
     if s < 1:
         raise ValueError("extension degree must be >= 1")
-    q = p**s
-    if q >= MAX_CARD:
-        raise Overflow(f"p^s = {q} does not fit in 63 bits")
+    q = field_size(p, s, "ps")
     rng = random.Random(seed)
     if s == 1:
         ctx = FieldCtx(p=p, s=1, modulus=None, generator=1, q=p, seed=seed)
@@ -1075,15 +1088,15 @@ def make_ext(base: FieldCtx, r: int, seed: int = 0) -> ExtCtx:
     """k_r = k[Y]/(m_r) with seeded irreducible m_r and verified generator.
 
     One shared context per (base, r, seed); a bad argument raises on every call.
+    q^r >= 2^63 raises Overflow naming q and r, told by `field_size` from
+    bit lengths before a large q^r is formed.
     """
     ctx = _CONTEXTS.get((base, r, seed))
     if ctx is not None:
         return ctx
     if r < 1:
         raise ValueError("extension degree must be >= 1")
-    size = base.q**r
-    if size >= MAX_CARD:
-        raise Overflow(f"q^r = {size} does not fit in 63 bits")
+    field_size(base.q, r)
     if r == 1:
         # Y, so k_1 = k via Y -> 0
         ctx = ExtCtx(base=base, r=1, modulus_r=(0, 1), generator_r=base.generator, seed=seed)

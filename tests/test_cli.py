@@ -24,7 +24,7 @@ from charsums.cli import (
     rows_to_csv,
     run,
 )
-from charsums.errors import ConfigInvalid, Unsatisfiable
+from charsums.errors import CharsumsError, ConfigInvalid, Unsatisfiable
 from charsums.polyring import is_squarefree, parity_check, Parity, root_structure
 
 BASE_CFG = {
@@ -545,6 +545,29 @@ def test_a_digit_walk_above_the_cap_starts_the_pool_and_shuts_it_down(monkeypatc
         pools[0].executor.submit(int)  # shut down when run returned
 
 
+def test_the_pool_asks_for_no_more_processes_than_a_walk_has_parts(monkeypatch):
+    # an executor may start every process it may use on its first map, and
+    # a digit walk splits into at most 16 tasks: 64 workers ask for 16, with
+    # the 1-worker bytes; this executor runs each map in this process
+    import concurrent.futures
+
+    asked = []
+
+    class Executor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+    test_golden_csv_bytes("golden_homadd_above_cap", workers=64)
+    assert asked == [16]
+
+
 def test_exceptional_main_terms_run_no_laurent_series(monkeypatch):
     # b_0 comes from a residue formula: the series is the test oracle only
     from charsums import boundbook, localdata
@@ -616,6 +639,17 @@ def test_translation_rows_of_a_constant_g(tmp_path, capsys, kind):
         (["check-identity", "orthogonality", "--p", "2", "--s", "14"], "above the cap"),
         (["check-identity", "reassembly-add", "--p", "4194319", "--r", "1"], "needs q <= 2^22"),
         (["check-identity", "reassembly-mult", "--p", "4194319", "--r", "1"], "needs q <= 2^22"),
+        # p^s and q^r beyond 63 bits, and caps above q^r, each refused before k_r is built
+        (["gen", "--p", "3", "--s", "4000000", "--d", "2", "--seed", "0"],
+         "p^s does not fit in 63 bits: p = 3, s = 4000000"),
+        (["check-identity", "counting", "--p", "3", "--r", "4000000"],
+         "q^r does not fit in 63 bits: q = 3, r = 4000000"),
+        (["check-identity", "counting", "--p", "2", "--r", "62"],
+         "exhaustive count capped at 10000, got 4611686018427387904"),
+        (["check-identity", "double-sum", "--p", "2", "--r", "61"],
+         "enumeration of 2305843009213693952 terms exceeds cap 16777216"),
+        (["check-identity", "double-sum", "--p", "101", "--r", "3"],
+         "enumeration of 104060401 terms exceeds cap 67108864"),
         # argparse's own errors
         (["gen", "--p", "7", "--d", "2"], "arguments are required: --seed"),
         (["check-identity", "nosuch"], "invalid choice: 'nosuch'"),
@@ -627,8 +661,9 @@ def test_translation_rows_of_a_constant_g(tmp_path, capsys, kind):
          "trials-negative", "gen-s-zero", "gen-d-zero", "gen-d-negative", "gen-odd-even-d",
          "gen-odd-nonzero-constant", "gauss-F2", "reassembly-add-F2", "reassembly-mult-F2",
          "reassembly-mult-F4", "orthogonality-q2-cap", "reassembly-add-log-cap",
-         "reassembly-mult-log-cap", "gen-no-seed", "unknown-identity", "p-not-int",
-         "run-no-config", "unknown-command"],
+         "reassembly-mult-log-cap", "gen-s-beyond-63-bits", "counting-r-beyond-63-bits",
+         "counting-cap", "double-sum-cap", "double-sum-q-cap", "gen-no-seed", "unknown-identity",
+         "p-not-int", "run-no-config", "unknown-command"],
 )
 def test_bad_identity_and_gen_arguments_are_one_error_line(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "make_ext", lambda *a, **k: pytest.fail("an extension was built"))
@@ -640,6 +675,17 @@ def test_bad_identity_and_gen_arguments_are_one_error_line(capsys, monkeypatch, 
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "kind, p, s", [("gauss", 2, 1), ("reassembly-mult", 2, 2), ("nosuch", 7, 1)],
+    ids=["F2", "even-q", "unknown-kind"],
+)
+def test_check_identity_argument_errors_are_not_config_errors(kind, p, s):
+    # a `config error:` line names a failed config, and no config is read here
+    with pytest.raises(CharsumsError) as info:
+        check_identity(kind, p, s, 2, seed=0, trials=1)
+    assert not isinstance(info.value, ConfigInvalid)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]])

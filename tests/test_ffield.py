@@ -7,6 +7,7 @@ import operator
 import pickle
 import random
 import re
+import time
 from array import array
 from collections import Counter
 from functools import partial, reduce
@@ -68,6 +69,14 @@ def test_composite_p_rejected():
 def test_overflow_rejected():
     with pytest.raises(Overflow):
         make_field(2, 64)
+    # refused from bit lengths: forming 3^(10^7) alone takes seconds
+    base = make_field(3, 2)
+    t0 = time.perf_counter()
+    with pytest.raises(Overflow, match=r"^p\^s does not fit in 63 bits: p = 3, s = 10000000$"):
+        make_field(3, 10**7)
+    with pytest.raises(Overflow, match=r"^q\^r does not fit in 63 bits: q = 9, r = 10000000$"):
+        make_ext(base, 10**7)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_trace_of_embedded_base_element():
